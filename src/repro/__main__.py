@@ -319,9 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
             "offered-load sweep with deadlines, load shedding and "
             "hedged reads toggled, plus a gray-shard arm (alias: "
             "overload; supports --smoke), a20 wall-clock scale — "
-            "million-entry churn shootout (gds/gdsf/lru/rc), fast-lane "
-            "vs pipeline reads/sec, allocation probe and peak-RSS "
-            "report (alias: scale; supports --smoke).  Examples: "
+            "million-entry churn shootout (gds/gdsf/lru/rc), hit-path "
+            "reads/sec with every seam off vs memo+containment+"
+            "overload+L2, allocation probe and peak-RSS report "
+            "(alias: scale; supports --smoke).  Examples: "
             "'repro bench a12', 'repro bench a1 --faults', "
             "'repro bench a14', 'repro bench table1 --faults partition', "
             "'repro bench --faults' (all experiments under chaos)."

@@ -3,8 +3,8 @@
 Two questions the virtual-time benches cannot answer:
 
 1. **Raw speed** — how many reads per *wall-clock* second does the
-   cache sustain on its hit path, and how much does the zero-allocation
-   fast lane (:mod:`repro.cache.fastpath`) buy over the full pipeline?
+   cache sustain on its hit path, with every optional seam off and with
+   the production-like seams on?
 2. **Scale** — does a catalog of 10^6 documents under publish/perish
    churn stay inside a bounded resident set, and how do the
    replacement policies (GDS, GDSF, LRU, and the reinforced-counter
@@ -13,11 +13,14 @@ Two questions the virtual-time benches cannot answer:
 
 Three arms:
 
-* ``hotpath`` — a small fully-cached corpus hammered with Zipf reads,
-  once with the fast lane and once through the staged pipeline.  The
-  two drivers are byte-identical loops, so the reads/sec ratio is the
-  lane's speedup.  An allocation probe (``sys.getallocatedblocks``
-  under a disabled GC) reports net heap blocks per hit.
+* ``hotpath`` — a small fully-cached corpus hammered with Zipf reads
+  through the one read pipeline, twice: ``plain`` (every optional seam
+  off) and ``seams`` (transform memo, containment, overload gate and
+  durable L2 on).  The two read loops are byte-identical — each read
+  follows a fixed virtual think time, which keeps the overload gate
+  admitting — so the reads/sec ratio is what the seams cost on a hit.
+  An allocation probe (``sys.getallocatedblocks`` under a disabled GC)
+  reports net heap blocks per plain hit.
 * ``churn`` — one :class:`~repro.workload.churn.ChurnCatalog` per
   policy, lazily materialized by a shared churn trace with flash
   crowds and a day/night cycle.  Open loop: the driver never sleeps;
@@ -27,8 +30,9 @@ Three arms:
 * ``rss`` — ``ru_maxrss`` snapshots bracketing the arms; the final
   reading is the run's peak and is what CI gates.
 
-CI runs ``--smoke`` and fails on a reads/sec floor, a fast-lane
-speedup floor, an allocation budget, or an RSS ceiling (see
+CI runs ``--smoke`` and fails on a plain-arm reads/sec floor, a
+seams-arm reads/sec floor, a ceiling on the plain/seams ratio, an
+allocation budget, or an RSS ceiling (see
 ``.github/workflows/ci.yml``).  The full run drives the 10^6-document
 catalog; the smoke run shrinks every axis but exercises the same code.
 """
@@ -36,6 +40,7 @@ catalog; the smoke run shrinks every axis but exercises the same code.
 from __future__ import annotations
 
 import random
+import tempfile
 from array import array
 from dataclasses import dataclass
 from time import perf_counter
@@ -43,6 +48,12 @@ from time import perf_counter
 from repro.bench.harness import format_table, percentile, write_artifact
 from repro.bench.perf import allocation_probe, peak_rss_kb
 from repro.cache.manager import DocumentCache
+from repro.cache.policies import (
+    DefaultContainmentPolicy,
+    DefaultMemoPolicy,
+    DefaultOverloadPolicy,
+    DefaultStoragePolicy,
+)
 from repro.cache.replacement import make_policy
 from repro.placeless.kernel import PlacelessKernel
 from repro.workload.churn import (
@@ -69,12 +80,20 @@ _SEED = 61
 #: baseline, and the reinforced-counter policy added for this arm.
 CHURN_POLICIES = ("gds", "gdsf", "lru", "rc")
 
+#: Virtual think time before each hot-path read: 100 reads per virtual
+#: second, half the default overload gate's admission rate, so the
+#: seams arm admits every read.
+_HOT_THINK_MS = 10.0
+#: Document TTL for the hot-path corpus, far beyond any run's virtual
+#: span, so every timed read is a hit in both arms.
+_HOT_TTL_MS = 1e12
+
 
 @dataclass
 class HotPathResult:
-    """One hot-path arm: the same read loop, lane on or off."""
+    """One hot-path arm: the same read loop over one configuration."""
 
-    lane: str
+    arm: str
     reads: int
     wall_seconds: float
     reads_per_sec: float
@@ -100,26 +119,44 @@ class ChurnArmResult:
     rss_after_kb: float
 
 
-def _hotpath_world(n_documents: int, *, fast_lane: bool):
-    """A fully-cacheable corpus behind a fresh cache, lane on or off."""
+def _hotpath_world(n_documents: int, *, seams: str | None = None):
+    """A fully-cacheable corpus behind a fresh, warmed cache.
+
+    *seams* names the directory for the durable tier: given, the cache
+    also carries the memo, containment and overload policies; ``None``
+    leaves every optional seam off.
+    """
     kernel = PlacelessKernel()
     owner = kernel.create_user("owner")
     catalog = ChurnCatalog(
-        kernel, owner, CorpusSpec(n_documents=n_documents, seed=_SEED)
+        kernel, owner,
+        CorpusSpec(n_documents=n_documents, ttl_ms=_HOT_TTL_MS, seed=_SEED),
     )
     corpus = catalog.materialize_all()
+    policies = {}
+    if seams is not None:
+        policies = dict(
+            memo_policy=DefaultMemoPolicy(),
+            containment_policy=DefaultContainmentPolicy(),
+            overload_policy=DefaultOverloadPolicy(),
+            storage_policy=DefaultStoragePolicy(directory=seams),
+        )
     cache = DocumentCache(
         kernel,
         capacity_bytes=1 << 30,
-        name=f"a20-hot-{'fast' if fast_lane else 'slow'}",
-        fast_lane=fast_lane,
+        name=f"a20-hot-{'plain' if seams is None else 'seams'}",
+        **policies,
     )
+    clock = kernel.ctx.clock
+    for document in corpus:  # warm: every subsequent read is a hit
+        clock.advance(_HOT_THINK_MS)
+        cache.read(document.reference)
     return cache, corpus
 
 
 #: Reads given per-read lap timing for percentiles.  Kept separate
 #: from the throughput loop: two extra ``perf_counter`` calls per read
-#: are a fixed tax that flattens the fast/slow ratio.
+#: are a fixed tax that flattens the plain/seams ratio.
 _LATENCY_SAMPLE = 20_000
 
 
@@ -133,12 +170,15 @@ def _drive_reads(cache, corpus, trace) -> tuple[float, array]:
     """
     references = [corpus[index].reference for index in trace]
     read = cache.read
+    advance = cache.ctx.clock.advance
     started = perf_counter()
     for reference in references:
+        advance(_HOT_THINK_MS)
         read(reference)
     wall = perf_counter() - started
     laps = array("d")
     for reference in references[:_LATENCY_SAMPLE]:
+        advance(_HOT_THINK_MS)
         lap = perf_counter()
         read(reference)
         laps.append((perf_counter() - lap) * 1e6)
@@ -150,33 +190,32 @@ def run_hotpath(
     n_reads: int = 200_000,
     zipf_alpha: float = 0.8,
 ) -> list[HotPathResult]:
-    """Fast lane vs. staged pipeline on an all-hits workload."""
+    """Plain vs. seams-on hit path on an all-hits workload."""
     trace = zipf_indices(n_documents, n_reads, zipf_alpha, seed=_SEED + 1)
     results = []
-    for lane, fast_lane in (("fast", True), ("pipeline", False)):
-        cache, corpus = _hotpath_world(n_documents, fast_lane=fast_lane)
-        for document in corpus:  # warm: every subsequent read is a hit
-            cache.read(document.reference)
-        wall, laps = _drive_reads(cache, corpus, trace)
-        results.append(
-            HotPathResult(
-                lane=lane,
-                reads=n_reads,
-                wall_seconds=wall,
-                reads_per_sec=n_reads / wall,
-                hit_ratio=cache.stats.hit_ratio,
-                wall_p50_us=percentile(laps, 50.0),
-                wall_p99_us=percentile(laps, 99.0),
+    for arm in ("plain", "seams"):
+        with tempfile.TemporaryDirectory(prefix="a20-l2-") as directory:
+            cache, corpus = _hotpath_world(
+                n_documents, seams=directory if arm == "seams" else None
             )
-        )
+            wall, laps = _drive_reads(cache, corpus, trace)
+            results.append(
+                HotPathResult(
+                    arm=arm,
+                    reads=n_reads,
+                    wall_seconds=wall,
+                    reads_per_sec=n_reads / wall,
+                    hit_ratio=cache.stats.hit_ratio,
+                    wall_p50_us=percentile(laps, 50.0),
+                    wall_p99_us=percentile(laps, 99.0),
+                )
+            )
     return results
 
 
 def run_allocation_probe(n_documents: int = 64) -> float:
-    """Net heap blocks per steady-state fast-lane hit."""
-    cache, corpus = _hotpath_world(n_documents, fast_lane=True)
-    for document in corpus:
-        cache.read(document.reference)
+    """Net heap blocks per steady-state plain hit."""
+    cache, corpus = _hotpath_world(n_documents)
     rng = random.Random(_SEED + 2)
     references = [document.reference for document in corpus]
 
@@ -284,7 +323,7 @@ def run_churn_shootout(
 def _format_hotpath(results: list[HotPathResult]) -> str:
     rows = [
         [
-            r.lane,
+            r.arm,
             f"{r.reads}",
             f"{r.reads_per_sec:,.0f}",
             f"{r.wall_p50_us:.1f}",
@@ -294,7 +333,7 @@ def _format_hotpath(results: list[HotPathResult]) -> str:
         for r in results
     ]
     return format_table(
-        ["lane", "reads", "reads/s", "p50 µs", "p99 µs", "hit ratio"], rows
+        ["arm", "reads", "reads/s", "p50 µs", "p99 µs", "hit ratio"], rows
     )
 
 
@@ -342,13 +381,13 @@ def main(smoke: bool = False) -> None:
         blocks_per_hit = run_allocation_probe()
         churn = run_churn_shootout()
 
-    fast = next(r for r in hot if r.lane == "fast")
-    slow = next(r for r in hot if r.lane == "pipeline")
-    speedup = fast.reads_per_sec / slow.reads_per_sec
+    plain = next(r for r in hot if r.arm == "plain")
+    seams = next(r for r in hot if r.arm == "seams")
+    seams_cost = plain.reads_per_sec / seams.reads_per_sec
 
-    print("A20 hot path: fast lane vs. staged pipeline")
+    print("A20 hot path: every seam off vs. memo+containment+overload+L2")
     print(_format_hotpath(hot))
-    print(f"\nfast-lane speedup: {speedup:.2f}x")
+    print(f"\nplain/seams reads/s ratio: {seams_cost:.2f}x")
     print(f"allocation probe: {blocks_per_hit:.1f} heap blocks per hit")
     print("\nA20 churn shootout (identical trace per policy)")
     print(_format_churn(churn))
@@ -358,7 +397,7 @@ def main(smoke: bool = False) -> None:
     metrics = {
         "smoke": smoke,
         "hotpath": {
-            r.lane: {
+            r.arm: {
                 "reads": r.reads,
                 "wall_seconds": round(r.wall_seconds, 4),
                 "reads_per_sec": round(r.reads_per_sec, 1),
@@ -368,7 +407,7 @@ def main(smoke: bool = False) -> None:
             }
             for r in hot
         },
-        "fast_lane_speedup": round(speedup, 3),
+        "plain_seams_ratio": round(seams_cost, 3),
         "blocks_per_hit": round(blocks_per_hit, 2),
         "churn": {
             r.policy: {

@@ -43,7 +43,7 @@ import typing
 from dataclasses import dataclass, fields
 from typing import Any, Callable
 
-from repro.cache.instrumentation import InstrumentationBus, StageEvent
+from repro.cache.instrumentation import InstrumentationBus, Projection
 from repro.errors import (
     BudgetExceededError,
     CacheError,
@@ -287,9 +287,10 @@ class ContainmentStats:
         return sum(getattr(self, f.name) for f in fields(self))
 
 
-class ContainmentStatsProjection:
+class ContainmentStatsProjection(Projection):
     """Derives :class:`ContainmentStats` from ``containment`` events."""
 
+    HANDLERS = {"containment": "_on_containment"}
     _COUNTERS = {
         "contained": "failures_contained",
         "budget-exceeded": "budget_overruns",
@@ -307,10 +308,8 @@ class ContainmentStatsProjection:
     def __init__(self, stats: ContainmentStats) -> None:
         self.stats = stats
 
-    def __call__(self, event: StageEvent) -> None:
-        if event.stage != "containment":
-            return
-        name = self._COUNTERS.get(event.outcome)
+    def _on_containment(self, stage, outcome, elapsed_ms, payload) -> None:
+        name = self._COUNTERS.get(outcome)
         if name is not None:
             setattr(self.stats, name, getattr(self.stats, name) + 1)
 
@@ -346,15 +345,9 @@ class ContainmentGuard:
         self, outcome: str, document_id: Any, site: str, **payload: Any
     ) -> None:
         now = self.ctx.clock.now_ms
-        self.instrumentation.emit(
-            StageEvent(
-                "containment",
-                outcome,
-                document_id=document_id,
-                started_ms=now,
-                ended_ms=now,
-                payload={"site": site, **payload},
-            )
+        self.instrumentation.publish(
+            "containment", outcome, document_id, None, now, now,
+            {"site": site, **payload},
         )
 
     def _allow(self, registry: BreakerRegistry, key: BreakerKey) -> bool:

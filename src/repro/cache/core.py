@@ -19,7 +19,7 @@ import typing
 
 from repro.cache.consistency import Invalidation, InvalidationReason
 from repro.cache.entry import CacheEntry, EntryKey
-from repro.cache.instrumentation import InstrumentationBus, StageEvent
+from repro.cache.instrumentation import InstrumentationBus
 from repro.cache.memo import ChainFingerprint, MemoRecord, TransformMemo
 from repro.cache.notifiers import InvalidationBus, install_minimum_notifiers
 from repro.cache.stats import CacheStats
@@ -172,30 +172,50 @@ class CacheCore:
         outcome: str,
         key: EntryKey | None = None,
         started_ms: float | None = None,
-        ended_ms: float | None = None,
         **payload,
     ) -> None:
-        """Emit one stage event; timestamps default to *now*.
+        """Publish one stage observation, payload as keywords.
 
-        Fast path: with nothing subscribed, skip the
-        :class:`StageEvent` construction entirely — emission must cost
-        nothing when nobody is listening (the A15 bench notes quantify
-        the per-access saving).
+        The convenience form of :meth:`publish` for sites off the hit
+        path; *started_ms* defaults to now.
         """
-        if not self.instrumentation.has_subscribers:
-            return
-        now = self.ctx.clock.now_ms
-        self.instrumentation.emit(
-            StageEvent(
-                stage=stage,
-                outcome=outcome,
-                document_id=key.document_id if key is not None else None,
-                user_id=key.user_id if key is not None else None,
-                started_ms=now if started_ms is None else started_ms,
-                ended_ms=now if ended_ms is None else ended_ms,
-                payload=payload,
+        self.publish(stage, outcome, key, started_ms, payload)
+
+    def publish(
+        self,
+        stage: str,
+        outcome: str,
+        key: EntryKey | None,
+        started_ms: float | None,
+        payload: dict,
+    ) -> None:
+        """Publish one stage observation that ends now.
+
+        The observation is folded straight into the counters wired on
+        the instrumentation bus — stats, stage recorder, seam
+        projections — through the bus's per-stage route; a
+        :class:`~repro.cache.instrumentation.StageEvent` is built only
+        when a plain subscriber listens.  Hit-path sites call this form
+        directly: building a keyword dict costs more than the counters.
+        """
+        bus = self.instrumentation
+        if bus.observed:
+            now = self.ctx.clock.now_ms
+            bus.publish(
+                stage, outcome,
+                None if key is None else key.document_id,
+                None if key is None else key.user_id,
+                now if started_ms is None else started_ms, now, payload,
             )
-        )
+            return
+        if started_ms is None:
+            elapsed_ms = 0.0
+        else:
+            elapsed_ms = self.ctx.clock.now_ms - started_ms
+        # The route walk of InstrumentationBus.publish, inlined: a hit
+        # publishes twice, and the extra call frame is measurable.
+        for handler in bus.routes.get(stage, bus.every):
+            handler(stage, outcome, elapsed_ms, payload)
 
     # -- fetch (next level down) ---------------------------------------------
 

@@ -3,13 +3,13 @@
 The monolithic cache mutated :class:`~repro.cache.stats.CacheStats`
 counters inline at ~40 scattered sites, which made per-mechanism
 accounting impossible to extend: adding one observable meant touching
-the manager.  The pipelined cache instead has every stage emit
-structured :class:`StageEvent` records — stage name, (document, user)
-key, outcome label, virtual-clock start/end — onto an
-:class:`InstrumentationBus`, and everything downstream is a subscriber:
+the manager.  The pipelined cache instead has every stage emit a
+structured observation — stage name, (document, user) key, outcome
+label, virtual-clock start/end — onto an :class:`InstrumentationBus`,
+and everything downstream is a subscriber:
 
 * :class:`StatsProjection` derives today's :class:`CacheStats` counters
-  from the event stream (byte-identical to the pre-pipeline inline
+  from the observations (byte-identical to the pre-pipeline inline
   mutation — the equivalence tests pin this);
 * :class:`BusStatsProjection` does the same for the invalidation bus's
   :class:`~repro.cache.notifiers.BusStats`;
@@ -17,9 +17,20 @@ key, outcome label, virtual-clock start/end — onto an
   giving the trace runner and benches their per-stage breakdown for
   free.
 
-Events are emitted synchronously (subscribers run inline at the emit
-site) and timing comes from the virtual clock only, so instrumentation
-never perturbs simulated time or fault-injection draws.
+Counters cost no event objects.  Every projection is a
+:class:`Projection`: it names, per stage, the method that folds one
+observation into its counters, and the bus compiles those methods into
+one route per stage whenever its subscriber set changes.
+:meth:`InstrumentationBus.publish` then calls the route's methods
+directly — one dictionary lookup per observation.  A
+:class:`StageEvent` is built only when a plain subscriber (a test
+probe, the cluster's health tracker, a bench sink) needs one; then
+every subscriber receives that event in subscription order, the
+projections included.
+
+Observations are delivered synchronously (subscribers run inline at the
+emit site) and timing comes from the virtual clock only, so
+instrumentation never perturbs simulated time or fault-injection draws.
 """
 
 from __future__ import annotations
@@ -35,6 +46,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "StageEvent",
     "InstrumentationBus",
+    "Projection",
+    "ANY_STAGE",
     "StageRecorder",
     "StatsProjection",
     "BusStatsProjection",
@@ -88,9 +101,9 @@ STAGE_ORDER = (
 class StageEvent:
     """One structured observation emitted by a cache stage.
 
-    A hot type: one is built per observable step of every access, so it
-    is slotted (no per-instance ``__dict__``) and emit sites skip
-    construction entirely when the bus has no subscribers.
+    Built only for plain subscribers — projections take observations
+    without one — and slotted (no per-instance ``__dict__``) for the
+    runs that do attach one.
     """
 
     stage: str
@@ -107,43 +120,71 @@ class StageEvent:
         return self.ended_ms - self.started_ms
 
 
+#: Routing key of a :class:`Projection` handler that takes every stage
+#: (the stage recorder's).
+ANY_STAGE = "*"
+
+
+class Projection:
+    """A subscriber that folds observations into counters it owns.
+
+    ``HANDLERS`` maps a stage name (or :data:`ANY_STAGE`) to the name of
+    the method that folds one observation of that stage; each such
+    method takes ``(stage, outcome, elapsed_ms, payload)``.  A bus calls
+    those methods directly, without building a :class:`StageEvent`;
+    called with an event (the plain-subscriber protocol), a projection
+    unpacks it into the same method, so the two deliveries count alike.
+    """
+
+    HANDLERS: typing.ClassVar[dict[str, str]] = {}
+
+    def stage_handlers(self) -> dict[str, Callable[..., None]]:
+        """Stage → bound handler, for the bus's route table."""
+        return {
+            stage: getattr(self, name) for stage, name in self.HANDLERS.items()
+        }
+
+    def __call__(self, event: StageEvent) -> None:
+        name = self.HANDLERS.get(event.stage) or self.HANDLERS.get(ANY_STAGE)
+        if name is not None:
+            getattr(self, name)(
+                event.stage, event.outcome, event.elapsed_ms, event.payload
+            )
+
+
 class InstrumentationBus:
-    """Synchronous fan-out of stage events to subscribers.
+    """Synchronous fan-out of stage observations to subscribers.
 
     The subscriber collection is copy-on-write: ``subscribe`` and
-    ``unsubscribe`` *replace* an immutable tuple rather than mutating a
-    list in place, and ``emit`` iterates whatever tuple it captured.
-    Under the concurrent scheduler a stage callback may subscribe or
-    unsubscribe mid-emit (e.g. a probe detaching itself when a batch
-    finishes) while another read is delivering events at a suspension
-    point; with a shared mutable list that is the classic
-    mutated-during-iteration race — skipped or double-delivered events.
-    With copy-on-write, an in-progress emit simply finishes against the
-    snapshot it started with (see DESIGN.md §3.3).
+    ``unsubscribe`` *replace* an immutable tuple (and the route table
+    compiled from it) rather than mutating in place, and a delivery
+    iterates whatever it captured.  Under the concurrent scheduler a
+    stage callback may subscribe or unsubscribe mid-emit (e.g. a probe
+    detaching itself when a batch finishes) while another read is
+    delivering events at a suspension point; with a shared mutable list
+    that is the classic mutated-during-iteration race — skipped or
+    double-delivered events.  With copy-on-write, an in-progress emit
+    simply finishes against the snapshot it started with (see DESIGN.md
+    §3.3).
     """
 
     def __init__(self) -> None:
         self._subscribers: tuple[Callable[[StageEvent], None], ...] = ()
+        self._compile()
 
     @property
     def subscribers(self) -> tuple[Callable[[StageEvent], None], ...]:
-        """The current immutable subscriber tuple.
+        """The current immutable subscriber tuple, in subscription order.
 
         Copy-on-write means the tuple object is *replaced* whenever the
-        subscription set changes, so holding a reference and comparing
-        by identity is an exact (and O(1)) "has anything changed since
-        I looked" test — the fast read lane's eligibility check.
+        subscription set changes, so a caller may hold it and iterate
+        it while subscriptions change underneath.
         """
         return self._subscribers
 
     @property
     def has_subscribers(self) -> bool:
-        """True when at least one subscriber would receive an emit.
-
-        Emit sites consult this *before* constructing a
-        :class:`StageEvent`, so an unobserved bus costs one attribute
-        load and a truth test per would-be event.
-        """
+        """True when at least one subscriber would receive an emit."""
         return bool(self._subscribers)
 
     def __bool__(self) -> bool:
@@ -152,6 +193,7 @@ class InstrumentationBus:
     def subscribe(self, subscriber: Callable[[StageEvent], None]) -> None:
         """Register a subscriber; it runs inline on every emit."""
         self._subscribers = self._subscribers + (subscriber,)
+        self._compile()
 
     def unsubscribe(self, subscriber: Callable[[StageEvent], None]) -> None:
         """Remove the first matching subscriber (no-op if absent).
@@ -163,6 +205,67 @@ class InstrumentationBus:
         if subscriber in subscribers:
             subscribers.remove(subscriber)
             self._subscribers = tuple(subscribers)
+            self._compile()
+
+    def _compile(self) -> None:
+        """Rebuild the per-stage routes from the subscriber tuple.
+
+        A stage's route lists, in subscription order, every projection
+        handler for that stage plus every :data:`ANY_STAGE` handler;
+        stages no projection names share the :data:`ANY_STAGE` route.
+        Any subscriber that is not a :class:`Projection` makes the bus
+        *observed*: it needs real events, so :meth:`publish` falls back
+        to building one and delivering it to everyone in order.
+        """
+        routes: dict[str, tuple[Callable[..., None], ...]] = {}
+        every: tuple[Callable[..., None], ...] = ()
+        observed = False
+        for subscriber in self._subscribers:
+            handlers = getattr(subscriber, "stage_handlers", None)
+            if handlers is None:
+                observed = True
+                continue
+            for stage, handler in handlers().items():
+                if stage == ANY_STAGE:
+                    every += (handler,)
+                    routes = {
+                        name: route + (handler,)
+                        for name, route in routes.items()
+                    }
+                else:
+                    routes[stage] = routes.get(stage, every) + (handler,)
+        #: Stage → handlers, in subscription order; stages without an
+        #: entry take :attr:`every`.
+        self.routes = routes
+        #: The :data:`ANY_STAGE` handlers.
+        self.every = every
+        #: True when some subscriber needs real event objects.
+        self.observed = observed
+
+    def publish(
+        self,
+        stage: str,
+        outcome: str,
+        document_id: "DocumentId | None",
+        user_id: "UserId | None",
+        started_ms: float,
+        ended_ms: float,
+        payload: dict[str, Any],
+    ) -> None:
+        """Deliver one observation: projection handlers called directly,
+        or — when a plain subscriber listens — one :class:`StageEvent`
+        for every subscriber."""
+        if self.observed:
+            self.emit(
+                StageEvent(
+                    stage, outcome, document_id, user_id,
+                    started_ms, ended_ms, payload,
+                )
+            )
+            return
+        elapsed_ms = ended_ms - started_ms
+        for handler in self.routes.get(stage, self.every):
+            handler(stage, outcome, elapsed_ms, payload)
 
     def emit(self, event: StageEvent) -> None:
         """Deliver one event to every subscriber, in subscription order.
@@ -187,25 +290,41 @@ class StageCell:
         return self.elapsed_ms / self.count if self.count else 0.0
 
 
-class StageRecorder:
+class StageRecorder(Projection):
     """Aggregates events into a per-stage outcome + timing breakdown."""
+
+    HANDLERS = {ANY_STAGE: "record"}
 
     def __init__(self) -> None:
         self.cells: dict[tuple[str, str], StageCell] = {}
+        #: The same cells as stage → outcome → cell: found by two
+        #: string-keyed lookups, with no key tuple to build and hash.
+        self._by_stage: dict[str, dict[str, StageCell]] = {}
 
-    def __call__(self, event: StageEvent) -> None:
-        cell = self.cells.get((event.stage, event.outcome))
-        if cell is None:
-            cell = self.cells[(event.stage, event.outcome)] = StageCell()
+    def _cell(self, stage: str, outcome: str) -> StageCell:
+        """The (stage, outcome) cell, created empty on first use."""
+        try:
+            return self._by_stage[stage][outcome]
+        except KeyError:
+            cell = self.cells[(stage, outcome)] = StageCell()
+            self._by_stage.setdefault(stage, {})[outcome] = cell
+            return cell
+
+    def record(
+        self, stage: str, outcome: str, elapsed_ms: float, payload=None
+    ) -> None:
+        """Count one (stage, outcome) observation and its virtual time."""
+        try:
+            cell = self._by_stage[stage][outcome]
+        except KeyError:
+            cell = self._cell(stage, outcome)
         cell.count += 1
-        cell.elapsed_ms += event.elapsed_ms
+        cell.elapsed_ms += elapsed_ms
 
     def merge(self, other: "StageRecorder") -> None:
         """Fold another recorder's cells into this one (fleet reporting)."""
-        for key, cell in other.cells.items():
-            mine = self.cells.get(key)
-            if mine is None:
-                mine = self.cells[key] = StageCell()
+        for (stage, outcome), cell in other.cells.items():
+            mine = self._cell(stage, outcome)
             mine.count += cell.count
             mine.elapsed_ms += cell.elapsed_ms
 
@@ -247,7 +366,7 @@ class StageRecorder:
         return "\n".join(lines)
 
 
-class StatsProjection:
+class StatsProjection(Projection):
     """Derives the legacy :class:`CacheStats` counters from stage events.
 
     One handler per (stage, outcome) family; the mapping below is the
@@ -261,118 +380,122 @@ class StatsProjection:
     #: terminal "read" event reports is a miss).
     _HIT_DISPOSITIONS = frozenset({"hit", "revalidated"})
 
+    HANDLERS = {
+        stage: "_on_" + stage.replace("-", "_")
+        for stage in (
+            "read", "verifier", "quarantine", "bus-loss", "adoption",
+            "fetch", "degradation", "admission", "eviction", "invalidation",
+            "notifier", "forward", "staleness", "prefetch", "write", "flush",
+        )
+    }
+
     def __init__(self, stats: "CacheStats") -> None:
         self.stats = stats
 
-    def __call__(self, event: StageEvent) -> None:
-        handler = getattr(self, "_on_" + event.stage.replace("-", "_"), None)
-        if handler is not None:
-            handler(event)
-
     # -- terminal read accounting -------------------------------------------
 
-    def _on_read(self, event: StageEvent) -> None:
+    def _on_read(self, stage, outcome, elapsed_ms, payload) -> None:
         stats = self.stats
-        if event.outcome in self._HIT_DISPOSITIONS:
+        if outcome in self._HIT_DISPOSITIONS:
             stats.hits += 1
-            stats.hit_latency_ms += event.elapsed_ms
-            stats.bytes_served_from_cache += event.payload.get("bytes", 0)
+            stats.hit_latency_ms += elapsed_ms
+            stats.bytes_served_from_cache += payload.get("bytes", 0)
         else:
             stats.misses += 1
-            stats.miss_latency_ms += event.elapsed_ms
+            stats.miss_latency_ms += elapsed_ms
 
     # -- read-pipeline stages -------------------------------------------------
 
-    def _on_verifier(self, event: StageEvent) -> None:
+    def _on_verifier(self, stage, outcome, elapsed_ms, payload) -> None:
         stats = self.stats
-        if event.outcome == "executed":
+        if outcome == "executed":
             stats.verifier_executions += 1
-            stats.verifier_cost_ms += event.payload["cost_ms"]
-        elif event.outcome == "invalidated":
+            stats.verifier_cost_ms += payload["cost_ms"]
+        elif outcome == "invalidated":
             stats.verifier_invalidations += 1
-        elif event.outcome == "revalidated":
+        elif outcome == "revalidated":
             stats.verifier_revalidations += 1
 
-    def _on_quarantine(self, event: StageEvent) -> None:
-        if event.outcome == "added":
+    def _on_quarantine(self, stage, outcome, elapsed_ms, payload) -> None:
+        if outcome == "added":
             self.stats.quarantined_verifiers += 1
-        elif event.outcome == "forced-miss":
+        elif outcome == "forced-miss":
             self.stats.quarantine_forced_misses += 1
 
-    def _on_bus_loss(self, event: StageEvent) -> None:
-        if event.outcome == "detected":
+    def _on_bus_loss(self, stage, outcome, elapsed_ms, payload) -> None:
+        if outcome == "detected":
             self.stats.dropped_notifier_detected += 1
 
-    def _on_adoption(self, event: StageEvent) -> None:
-        if event.outcome == "adopted":
+    def _on_adoption(self, stage, outcome, elapsed_ms, payload) -> None:
+        if outcome == "adopted":
             self.stats.sibling_adoptions += 1
 
-    def _on_fetch(self, event: StageEvent) -> None:
+    def _on_fetch(self, stage, outcome, elapsed_ms, payload) -> None:
         stats = self.stats
-        if event.outcome == "failed":
+        if outcome == "failed":
             stats.fetch_failures += 1
-        elif event.outcome == "retry":
+        elif outcome == "retry":
             stats.retries += 1
-            stats.retry_delay_ms += event.payload["delay_ms"]
+            stats.retry_delay_ms += payload["delay_ms"]
 
-    def _on_degradation(self, event: StageEvent) -> None:
+    def _on_degradation(self, stage, outcome, elapsed_ms, payload) -> None:
         stats = self.stats
-        if event.outcome == "bypassed":
+        if outcome == "bypassed":
             stats.backing_bypasses += 1
             stats.degraded_serves += 1
-        elif event.outcome == "stale-served":
+        elif outcome == "stale-served":
             stats.stale_served_on_error += 1
             stats.degraded_serves += 1
-        elif event.outcome == "stale-rejected":
+        elif outcome == "stale-rejected":
             stats.stale_serve_rejected += 1
 
-    def _on_admission(self, event: StageEvent) -> None:
-        if event.outcome == "filled":
-            self.stats.bytes_filled += event.payload["bytes"]
-        elif event.outcome == "uncacheable":
+    def _on_admission(self, stage, outcome, elapsed_ms, payload) -> None:
+        if outcome == "filled":
+            self.stats.bytes_filled += payload["bytes"]
+        elif outcome == "uncacheable":
             self.stats.uncacheable_reads += 1
 
-    def _on_eviction(self, event: StageEvent) -> None:
-        if event.outcome == "evicted":
+    def _on_eviction(self, stage, outcome, elapsed_ms, payload) -> None:
+        if outcome == "evicted":
             self.stats.evictions += 1
 
-    def _on_invalidation(self, event: StageEvent) -> None:
-        self.stats.record_invalidation(event.payload["reason"])
+    def _on_invalidation(self, stage, outcome, elapsed_ms, payload) -> None:
+        self.stats.record_invalidation(payload["reason"])
 
-    def _on_notifier(self, event: StageEvent) -> None:
-        if event.outcome == "delivered":
+    def _on_notifier(self, stage, outcome, elapsed_ms, payload) -> None:
+        if outcome == "delivered":
             self.stats.notifier_deliveries += 1
 
-    def _on_forward(self, event: StageEvent) -> None:
-        if event.outcome == "read":
+    def _on_forward(self, stage, outcome, elapsed_ms, payload) -> None:
+        if outcome == "read":
             self.stats.forwarded_reads += 1
-        elif event.outcome == "write":
+        elif outcome == "write":
             self.stats.forwarded_writes += 1
 
-    def _on_staleness(self, event: StageEvent) -> None:
-        if event.outcome == "stale-hit":
+    def _on_staleness(self, stage, outcome, elapsed_ms, payload) -> None:
+        if outcome == "stale-hit":
             self.stats.stale_hits += 1
 
-    def _on_prefetch(self, event: StageEvent) -> None:
-        if event.outcome == "requested":
+    def _on_prefetch(self, stage, outcome, elapsed_ms, payload) -> None:
+        if outcome == "requested":
             self.stats.prefetch_requests += 1
-        elif event.outcome == "filled":
+        elif outcome == "filled":
             self.stats.prefetch_fills += 1
-        elif event.outcome == "hit":
+        elif outcome == "hit":
             self.stats.prefetched_hits += 1
 
     # -- write-pipeline stages -------------------------------------------------
 
-    def _on_write(self, event: StageEvent) -> None:
-        if event.outcome == "write-through":
+    def _on_write(self, stage, outcome, elapsed_ms, payload) -> None:
+        if outcome == "write-through":
             self.stats.writes_through += 1
-        elif event.outcome == "write-back":
+        elif outcome == "write-back":
             self.stats.writes_backed += 1
 
-    def _on_flush(self, event: StageEvent) -> None:
-        if event.outcome == "flushed":
+    def _on_flush(self, stage, outcome, elapsed_ms, payload) -> None:
+        if outcome == "flushed":
             self.stats.flushes += 1
-        elif event.outcome == "failed":
+        elif outcome == "failed":
             self.stats.flush_failures += 1
 
 
@@ -403,26 +526,25 @@ class ConcurrencyStats:
         return max(0, self.follows - self.promotions)
 
 
-class ConcurrencyStatsProjection:
+class ConcurrencyStatsProjection(Projection):
     """Derives :class:`ConcurrencyStats` from ``coalesce`` events."""
+
+    HANDLERS = {"coalesce": "_on_coalesce"}
+    _COUNTERS = {
+        "led": "flights_led",
+        "followed": "follows",
+        "promoted": "promotions",
+        "bailed-contained": "bailed_contained",
+        "bailed-capacity": "bailed_capacity",
+    }
 
     def __init__(self) -> None:
         self.stats = ConcurrencyStats()
 
-    def __call__(self, event: StageEvent) -> None:
-        if event.stage != "coalesce":
-            return
-        stats = self.stats
-        if event.outcome == "led":
-            stats.flights_led += 1
-        elif event.outcome == "followed":
-            stats.follows += 1
-        elif event.outcome == "promoted":
-            stats.promotions += 1
-        elif event.outcome == "bailed-contained":
-            stats.bailed_contained += 1
-        elif event.outcome == "bailed-capacity":
-            stats.bailed_capacity += 1
+    def _on_coalesce(self, stage, outcome, elapsed_ms, payload) -> None:
+        name = self._COUNTERS.get(outcome)
+        if name is not None:
+            setattr(self.stats, name, getattr(self.stats, name) + 1)
 
 
 @dataclass(slots=True)
@@ -468,69 +590,64 @@ class OverloadStats:
         return self.shed / total if total else 0.0
 
 
-class OverloadStatsProjection:
+class OverloadStatsProjection(Projection):
     """Derives :class:`OverloadStats` from the overload-layer stages."""
 
-    _STAGES = frozenset({"overload", "deadline", "hedge", "health"})
+    HANDLERS = {
+        "overload": "_on_overload",
+        "deadline": "_on_counter",
+        "hedge": "_on_counter",
+        "health": "_on_counter",
+    }
+    _COUNTERS = {
+        ("deadline", "exceeded"): "deadline_exceeded",
+        ("deadline", "late"): "deadline_late",
+        ("deadline", "skipped"): "deadline_skips",
+        ("deadline", "violated"): "deadline_violations",
+        ("hedge", "launched"): "hedges_launched",
+        ("hedge", "won"): "hedges_won",
+        ("hedge", "lost"): "hedges_lost",
+        ("health", "failover"): "failovers",
+        ("health", "recovered"): "recoveries",
+    }
+    _SHED_COUNTERS = {"bulk": "shed_bulk", "qos": "shed_qos"}
 
     def __init__(self) -> None:
         self.stats = OverloadStats()
 
-    def __call__(self, event: StageEvent) -> None:
-        if event.stage not in self._STAGES:
-            return
+    def _on_overload(self, stage, outcome, elapsed_ms, payload) -> None:
         stats = self.stats
-        if event.stage == "overload":
-            if event.outcome == "admitted":
-                stats.admitted += 1
-            elif event.outcome == "shed":
-                priority = event.payload.get("priority")
-                if priority == "bulk":
-                    stats.shed_bulk += 1
-                elif priority == "qos":
-                    stats.shed_qos += 1
-                else:
-                    stats.shed_critical += 1
-        elif event.stage == "deadline":
-            if event.outcome == "exceeded":
-                stats.deadline_exceeded += 1
-            elif event.outcome == "late":
-                stats.deadline_late += 1
-            elif event.outcome == "skipped":
-                stats.deadline_skips += 1
-            elif event.outcome == "violated":
-                stats.deadline_violations += 1
-        elif event.stage == "hedge":
-            if event.outcome == "launched":
-                stats.hedges_launched += 1
-            elif event.outcome == "won":
-                stats.hedges_won += 1
-            elif event.outcome == "lost":
-                stats.hedges_lost += 1
-        elif event.stage == "health":
-            if event.outcome == "failover":
-                stats.failovers += 1
-            elif event.outcome == "recovered":
-                stats.recoveries += 1
+        if outcome == "admitted":
+            stats.admitted += 1
+        elif outcome == "shed":
+            name = self._SHED_COUNTERS.get(
+                payload.get("priority"), "shed_critical"
+            )
+            setattr(stats, name, getattr(stats, name) + 1)
+
+    def _on_counter(self, stage, outcome, elapsed_ms, payload) -> None:
+        name = self._COUNTERS.get((stage, outcome))
+        if name is not None:
+            setattr(self.stats, name, getattr(self.stats, name) + 1)
 
 
-class BusStatsProjection:
+class BusStatsProjection(Projection):
     """Derives the invalidation bus's ``BusStats`` from ``bus`` events."""
+
+    HANDLERS = {"bus": "_on_bus"}
 
     def __init__(self, stats) -> None:
         self.stats = stats
 
-    def __call__(self, event: StageEvent) -> None:
-        if event.stage != "bus":
-            return
+    def _on_bus(self, stage, outcome, elapsed_ms, payload) -> None:
         stats = self.stats
-        if event.outcome == "delivered":
+        if outcome == "delivered":
             stats.deliveries += 1
-            stats.delivery_cost_ms += event.payload.get("cost_ms", 0.0)
-        elif event.outcome == "dropped":
+            stats.delivery_cost_ms += payload.get("cost_ms", 0.0)
+        elif outcome == "dropped":
             stats.dropped += 1
-        elif event.outcome == "lost":
+        elif outcome == "lost":
             stats.lost += 1
-        elif event.outcome == "delayed":
+        elif outcome == "delayed":
             stats.delayed += 1
-            stats.delay_ms_total += event.payload.get("delay_ms", 0.0)
+            stats.delay_ms_total += payload.get("delay_ms", 0.0)

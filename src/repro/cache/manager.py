@@ -25,7 +25,6 @@ from repro.cache.core import (  # noqa: F401  (constants re-exported for compat)
     CacheCore,
 )
 from repro.cache.entry import CacheEntry, EntryKey
-from repro.cache.fastpath import FastReadLane
 from repro.cache.instrumentation import (
     ConcurrencyStats,
     ConcurrencyStatsProjection,
@@ -268,7 +267,6 @@ class DocumentCache:
         core: CacheCore | None = None,
         memo: TransformMemo | None = None,
         flights: "FlightTable | None" = None,
-        fast_lane: bool = True,
     ) -> None:
         ctx = kernel.ctx
         if core is not None:
@@ -310,12 +308,6 @@ class DocumentCache:
         # memo/recovery wiring must have set up first.
         self._wire_storage(storage_policy)
         self._schedule_fault_crashes(ctx)
-        # The fast lane wires last: it snapshots the instrumentation
-        # subscriber tuple as its eligibility baseline, so every wiring
-        # step's projections must already be subscribed.
-        self._fast: FastReadLane | None = None
-        if fast_lane:
-            self._fast = FastReadLane(self._core, self._reads, self.recorder)
 
     # -- construction steps ---------------------------------------------------
 
@@ -585,16 +577,12 @@ class DocumentCache:
         read are serviced *after* the outcome is computed, so prefetch
         work never inflates the triggering read's latency.
 
-        With the fast lane enabled (the default), a verified hit on a
-        cache with every optional seam disabled is served inline —
-        byte-identical observable behaviour, none of the staged
-        pipeline's per-read interpreter overhead; anything else falls
-        back to the staged path before the first charge.
+        Every read, in every configuration, runs the one staged
+        :class:`~repro.cache.pipeline.ReadPipeline`; under the default
+        sequential scheduler a hit is the entry lookup plus the verifier
+        gate, with counters folded straight into the wired projections.
         """
-        if self._fast is not None:
-            outcome = self._fast.read(reference)
-        else:
-            outcome = self._reads.read(reference)
+        outcome = self._reads.read(reference)
         self._drain_prefetch()
         return outcome
 
@@ -643,11 +631,7 @@ class DocumentCache:
             for reference in references:
                 try:
                     gated.append(
-                        self._core.scheduler.drive(
-                            self._reads.iterate(
-                                reference, enqueued_ms=enqueued_ms
-                            )
-                        )
+                        self._reads.read(reference, enqueued_ms=enqueued_ms)
                     )
                 except (OverloadShedError, DeadlineExceededError) as error:
                     gated.append(error)

@@ -58,11 +58,11 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from repro.cache.cacheability import Cacheability
+from repro.cache.instrumentation import Projection
 from repro.streams.chain import read_chain_properties
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.core import CacheCore
-    from repro.cache.instrumentation import StageEvent
     from repro.cache.verifiers import Verifier
     from repro.content.signature import ContentSignature
     from repro.ids import DocumentId
@@ -306,9 +306,10 @@ class MemoStats:
         return self.adoptions + self.misses + self.negative_hits
 
 
-class MemoStatsProjection:
+class MemoStatsProjection(Projection):
     """Instrumentation subscriber deriving :class:`MemoStats`."""
 
+    HANDLERS = {"memo": "_on_memo"}
     _COUNTERS = {
         "adopted": "adoptions",
         "missed": "misses",
@@ -324,15 +325,13 @@ class MemoStatsProjection:
     def __init__(self, stats: MemoStats | None = None) -> None:
         self.stats = stats if stats is not None else MemoStats()
 
-    def __call__(self, event: "StageEvent") -> None:
-        if event.stage != "memo":
-            return
-        counter = self._COUNTERS.get(event.outcome)
+    def _on_memo(self, stage, outcome, elapsed_ms, payload) -> None:
+        counter = self._COUNTERS.get(outcome)
         if counter is not None:
             setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-            if event.outcome == "adopted" and event.payload.get("imported"):
+            if outcome == "adopted" and payload.get("imported"):
                 self.stats.imports += 1
-        elif event.outcome == "purged":
-            self.stats.purged += event.payload.get("records", 0)
-        elif event.outcome == "evicted":
-            self.stats.evictions += event.payload.get("records", 0)
+        elif outcome == "purged":
+            self.stats.purged += payload.get("records", 0)
+        elif outcome == "evicted":
+            self.stats.evictions += payload.get("records", 0)

@@ -30,11 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.cache.consistency import Invalidation, InvalidationReason
-from repro.cache.instrumentation import (
-    BusStatsProjection,
-    InstrumentationBus,
-    StageEvent,
-)
+from repro.cache.instrumentation import BusStatsProjection, InstrumentationBus
 from repro.errors import NotifierError, RepositoryOfflineError
 from repro.events.types import Event, EventType
 from repro.ids import CacheId, UserId
@@ -129,15 +125,8 @@ class InvalidationBus:
 
     def _emit(self, outcome: str, document_id=None, **payload) -> None:
         now = self.ctx.clock.now_ms
-        self.instrumentation.emit(
-            StageEvent(
-                stage="bus",
-                outcome=outcome,
-                document_id=document_id,
-                started_ms=now,
-                ended_ms=now,
-                payload=payload,
-            )
+        self.instrumentation.publish(
+            "bus", outcome, document_id, None, now, now, payload
         )
 
     def register(

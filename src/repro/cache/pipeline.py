@@ -1,10 +1,12 @@
 """The staged read/write pipeline behind :class:`DocumentCache`.
 
-A read is a fixed sequence of small stages, each a class with one
-``run(ctx)`` method over a shared typed :class:`ReadContext`:
+A read is one front step and a fixed sequence of small stages, each a
+class with one ``run(ctx)`` method over a shared typed
+:class:`ReadContext`:
 
-    dirty-flush → lookup → verifier-gate → adoption → l2 → memo →
-    single-flight → fetch → degradation → admission
+    [admission control →] dirty flush + lookup → verifier-gate →
+    adoption → l2 → memo → single-flight → fetch → degradation →
+    admission
 
 A stage returns ``None`` to pass the context on, a terminal result
 (:class:`CacheReadOutcome` for application reads, a ``(content, meta)``
@@ -12,23 +14,26 @@ pair for lower-level ``read_for_fill`` serves) to finish the read, or a
 :class:`~repro.sim.scheduler.Suspension` to park the read on another
 read's in-progress flight.  The write path is the same idea with two
 stages (interpose → buffer) plus a flush stage shared by write-back
-draining and the read path's dirty-flush gate.
+draining and the read path's dirty flush.
 
-Stages stay synchronous; *scheduling* is externalised.  The pipeline
-expresses one access as a generator yielding suspension markers at the
-verifier and fetch/chain seams, and a
-:class:`~repro.sim.scheduler.Scheduler` drives it: the default
-:class:`~repro.sim.scheduler.SequentialScheduler` inline (operation
-order, clock charges and fault-plan consultations exactly as the
-pre-scheduler pipeline performed them — the golden-digest equivalence
-tests pin byte-identical stats and fault traces across the refactor),
-the :class:`~repro.sim.scheduler.AsyncScheduler` as interleaved
-coroutines with single-flight request coalescing (see
-:class:`SingleFlightStage`).
+Stages stay synchronous; *scheduling* is externalised.  Under a
+scheduler that can interleave, the pipeline expresses one access as a
+generator yielding suspension markers at the stages' named seams (the
+verifier gate and the fetch/chain execution), and the
+:class:`~repro.sim.scheduler.AsyncScheduler` drives many such reads as
+interleaved coroutines with single-flight request coalescing (see
+:class:`SingleFlightStage`).  Under the default sequential scheduler
+nothing can suspend, so :meth:`ReadPipeline.read` runs the same stages
+inline: a hit is the lookup plus :meth:`VerifierGateStage.serve`, with
+no context object, generator or stage loop, and only a miss builds a
+context for the stages after the gate.  Operation order, clock charges
+and fault-plan consultations are the same either way — the
+golden-digest equivalence tests pin byte-identical stats and fault
+traces.
 
-Stages hold no state of their own: everything mutable lives in the
+Stages hold no per-read state: everything mutable lives in the
 :class:`~repro.cache.core.CacheCore` they share, and every observable
-step is emitted onto the core's instrumentation bus.
+step is published on the core's instrumentation bus.
 """
 
 from __future__ import annotations
@@ -67,8 +72,8 @@ __all__ = [
     "WriteContext",
     "ReadPipeline",
     "WritePipeline",
-    "DirtyFlushStage",
-    "LookupStage",
+    "Stage",
+    "Invalidated",
     "VerifierGateStage",
     "AdoptionStage",
     "L2Stage",
@@ -182,32 +187,35 @@ class WriteContext:
 # -- read stages ---------------------------------------------------------------
 
 
-class DirtyFlushStage:
-    """A write-back user reading their own dirty document must see their
-    buffered write; flush it through the full path first."""
+class Stage:
+    """One pipeline stage over the shared :class:`CacheCore`.
 
-    def __init__(self, core: CacheCore, writes: "WritePipeline") -> None:
-        self.core = core
-        self.writes = writes
+    ``seam`` names the suspension a concurrent scheduler is offered
+    just before the stage runs — the points where a real concurrent
+    read path may switch to another read; ``None`` for stages that
+    never interleave.
+    """
 
-    def run(self, ctx: ReadContext):
-        if ctx.key in self.core.dirty:
-            self.writes.flush(ctx.reference)
-        return None
-
-
-class LookupStage:
-    """Find the live entry for the (document, user) key, if any."""
+    seam: Suspension | None = None
 
     def __init__(self, core: CacheCore) -> None:
         self.core = core
 
-    def run(self, ctx: ReadContext):
-        ctx.entry = self.core.entries.get(ctx.key)
-        return None
+
+class Invalidated:
+    """The verifier gate dropped the entry it was serving.
+
+    The read continues down the miss stages carrying the dropped bytes
+    and their fill time, for bounded serve-stale-on-error.
+    """
+
+    __slots__ = ("stale",)
+
+    def __init__(self, content: bytes, filled_at_ms: float) -> None:
+        self.stale = (content, filled_at_ms)
 
 
-class VerifierGateStage:
+class VerifierGateStage(Stage):
     """Serve a hit if the entry's verifiers agree (§3's hit-time check).
 
     On a verified hit the read terminates here; when a verifier
@@ -216,8 +224,12 @@ class VerifierGateStage:
     read falls through to the miss stages.
     """
 
+    seam = VERIFIER_SEAM
+
     def __init__(self, core: CacheCore) -> None:
-        self.core = core
+        super().__init__(core)
+        #: "cache hit" latency: the local (or app→server) hop only.
+        self._hit_path = tuple(core.topology.hit_path())
 
     def run(self, ctx: ReadContext):
         core = self.core
@@ -231,14 +243,40 @@ class VerifierGateStage:
             ctx.entry = entry = core.entries.get(ctx.key)
         if entry is None:
             return None
+        result = self.serve(
+            ctx.reference, ctx.key, entry, ctx.started_ms, ctx.for_fill
+        )
+        if result is None or result.__class__ is Invalidated:
+            ctx.entry = None
+            if result is not None:
+                ctx.stale = result.stale
+            return None
+        return result
+
+    def serve(
+        self,
+        reference: "DocumentReference",
+        key: EntryKey,
+        entry: CacheEntry,
+        started_ms: float,
+        for_fill: bool = False,
+    ):
+        """Gate the live *entry*: the terminal result of a verified hit.
+
+        Otherwise the entry is gone and the read goes on to the miss
+        stages: :class:`Invalidated` when the gate dropped it, ``None``
+        when a fill-serving hit lost it to reentrant event forwarding.
+        """
+        core = self.core
+        sim = core.ctx
+        clock = sim.clock
         content = core.store.get(entry.signature)
-        stale = (content, entry.created_at_ms)
         disposition = "hit"
-        # "cache hit" latency: the local (or app→server) hop only.
-        for hop in core.topology.hit_path():
-            core.ctx.charge_hop(hop, entry.size)
+        for hop in self._hit_path:
+            sim.charge_hop(hop, entry.size)
 
         if core.use_verifiers:
+            verifiers = entry.verifiers
             guard = core.containment
             if guard is not None:
                 if guard.verifier_blocked(entry):
@@ -249,36 +287,31 @@ class VerifierGateStage:
                     # delay the breaker admits a probe.
                     core.drop(entry, InvalidationReason.VERIFIER_FAILED,
                               origin="containment")
-                    ctx.entry = None
-                    ctx.stale = stale
-                    return None
-            elif self._entry_quarantined(entry):
+                    return Invalidated(content, entry.created_at_ms)
+            elif verifiers and self._entry_quarantined(entry):
                 # A repeatedly-failing verifier guards this entry: the
                 # entry cannot be trusted and the verifier cannot be
                 # afforded — force a miss instead of verifying.
                 core.drop(entry, InvalidationReason.VERIFIER_FAILED,
                           origin="quarantine")
-                core.emit("quarantine", "forced-miss", key=ctx.key)
-                ctx.entry = None
-                ctx.stale = stale
-                return None
-            for verifier in entry.verifiers:
-                verifier_started_ms = core.ctx.clock.now_ms
-                core.ctx.charge(verifier.cost_ms)
-                core.emit(
-                    "verifier", "executed", key=ctx.key,
-                    started_ms=verifier_started_ms,
-                    cost_ms=verifier.cost_ms,
+                core.emit("quarantine", "forced-miss", key=key)
+                return Invalidated(content, entry.created_at_ms)
+            for verifier in verifiers:
+                verifier_started_ms = clock.now_ms
+                sim.charge(verifier.cost_ms)
+                core.publish(
+                    "verifier", "executed", key, verifier_started_ms,
+                    {"cost_ms": verifier.cost_ms},
                 )
                 try:
                     if guard is not None:
                         guard.check_verifier_budget(entry, verifier)
-                    if core.ctx.faults is not None:
-                        core.ctx.faults.check_verifier(
+                    if sim.faults is not None:
+                        sim.faults.check_verifier(
                             verifier.cost_ms,
                             label=type(verifier).__name__,
                         )
-                    result = verifier.run(core.ctx.clock.now_ms, content)
+                    result = verifier.run(clock.now_ms, content)
                 except Exception:
                     if guard is not None:
                         guard.note_verifier_failure(entry, verifier)
@@ -286,11 +319,9 @@ class VerifierGateStage:
                         self._note_failure(entry, verifier)
                     core.drop(entry, InvalidationReason.VERIFIER_FAILED,
                               origin="verifier")
-                    core.emit("verifier", "invalidated", key=ctx.key)
+                    core.emit("verifier", "invalidated", key=key)
                     core.note_verifier_caught_lost(entry)
-                    ctx.entry = None
-                    ctx.stale = (content, entry.created_at_ms)
-                    return None
+                    return Invalidated(content, entry.created_at_ms)
                 if guard is not None:
                     guard.note_verifier_success(entry, verifier)
                 else:
@@ -304,40 +335,36 @@ class VerifierGateStage:
                         else InvalidationReason.EXTERNAL_CHANGED
                     )
                     core.drop(entry, reason, origin="verifier")
-                    core.emit("verifier", "invalidated", key=ctx.key)
+                    core.emit("verifier", "invalidated", key=key)
                     core.note_verifier_caught_lost(entry)
-                    ctx.entry = None
-                    ctx.stale = (content, entry.created_at_ms)
-                    return None
+                    return Invalidated(content, entry.created_at_ms)
                 if result.verdict is Verdict.REVALIDATED:
                     content = result.patched_content or b""
                     core.replace_content(entry, content)
-                    core.emit("verifier", "revalidated", key=ctx.key)
+                    core.emit("verifier", "revalidated", key=key)
                     disposition = "revalidated"
 
         if entry.cacheability.requires_event_forwarding:
-            core.forward_read(ctx.reference)
+            core.forward_read(reference)
 
-        entry.touch(core.ctx.clock.now_ms)
+        entry.touch(clock.now_ms)
         core.policy.on_access(entry)
-        if core.track_staleness and core.is_stale(ctx.reference, entry):
-            core.emit("staleness", "stale-hit", key=ctx.key)
-        elapsed = core.ctx.clock.now_ms - ctx.started_ms
-        core.emit(
-            "read", disposition, key=ctx.key,
-            started_ms=ctx.started_ms, bytes=len(content),
+        if core.track_staleness and core.is_stale(reference, entry):
+            core.emit("staleness", "stale-hit", key=key)
+        elapsed = clock.now_ms - started_ms
+        core.publish(
+            "read", disposition, key, started_ms, {"bytes": len(content)}
         )
-        if ctx.for_fill:
+        if for_fill:
             # Serving an upper cache: re-derive fill metadata from the
             # live entry.  Event forwarding may have invalidated it
             # reentrantly — fall through to the miss stages if so.
-            live = core.entries.get(ctx.key)
+            live = core.entries.get(key)
             if live is not None:
                 return (content, core.meta_from_entry(live))
-            ctx.entry = None
             return None
         if entry.policy_state.get("prefetched"):
-            core.emit("prefetch", "hit", key=ctx.key)
+            core.emit("prefetch", "hit", key=key)
             entry.policy_state["prefetched"] = False
         return CacheReadOutcome(
             content=content, hit=True, elapsed_ms=elapsed,
@@ -346,12 +373,12 @@ class VerifierGateStage:
 
     def _entry_quarantined(self, entry: CacheEntry) -> bool:
         core = self.core
-        return any(
-            core.degradation.is_quarantined(
+        for verifier in entry.verifiers:
+            if core.degradation.is_quarantined(
                 core.verifier_fault_key(entry, verifier)
-            )
-            for verifier in entry.verifiers
-        )
+            ):
+                return True
+        return False
 
     def _note_failure(self, entry: CacheEntry, verifier) -> None:
         core = self.core
@@ -362,7 +389,7 @@ class VerifierGateStage:
             core.emit("quarantine", "added", key=entry.key)
 
 
-class AdoptionStage:
+class AdoptionStage(Stage):
     """§3 signature adoption: reuse another user's identical version.
 
     A candidate must be another user's valid entry for the same base
@@ -370,9 +397,6 @@ class AdoptionStage:
     chain would produce; its verifiers are re-run (the source could have
     changed) before the signature mapping is established.
     """
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
 
     def run(self, ctx: ReadContext):
         core = self.core
@@ -470,7 +494,7 @@ class AdoptionStage:
         return True
 
 
-class L2Stage:
+class L2Stage(Stage):
     """Durable-tier promotion: answer a miss from the on-disk L2 tier.
 
     Sits between adoption and the memo: an adoption needs another
@@ -488,9 +512,6 @@ class L2Stage:
     no-op while the storage breaker is open — the L1-only fallback.
     """
 
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
-
     def run(self, ctx: ReadContext):
         if self.core.l2 is None:
             return None
@@ -503,7 +524,7 @@ class L2Stage:
         return self.core.l2.promote(ctx)
 
 
-class MemoStage:
+class MemoStage(Stage):
     """Transform memoization: answer a miss from the
     ``(source signature, chain fingerprint) → output signature`` memo.
 
@@ -522,9 +543,6 @@ class MemoStage:
     breaker on any chain property bypasses the memo, because the
     recorded output was produced by code that is currently quarantined.
     """
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
 
     def run(self, ctx: ReadContext):
         core = self.core
@@ -650,6 +668,11 @@ class MemoStage:
         existing = core.entries.get(key)
         if existing is not None:
             core.remove_entry(existing)
+        if imported:
+            # Imported bytes are new physical content in this store:
+            # make room before the entry exists, as a fill does (a heap
+            # policy drops the item of a protected key it pops).
+            core.evict_to_capacity(protect=key)
         now = core.ctx.clock.now_ms
         entry = CacheEntry(
             key=key,
@@ -675,9 +698,6 @@ class MemoStage:
         if core.recovery is not None:
             core.recovery.note_reference(key, ctx.reference)
         if imported:
-            # Imported bytes are new physical content in this store —
-            # make room for them, protecting the entry just built.
-            core.evict_to_capacity(protect=key)
             core.emit("memo", "adopted", key=key, imported=True)
         else:
             core.emit("memo", "adopted", key=key)
@@ -693,7 +713,7 @@ class MemoStage:
         )
 
 
-class SingleFlightStage:
+class SingleFlightStage(Stage):
     """Coalesce concurrent misses into one fetch + one chain execution.
 
     The last gate before the fetch/chain seam.  Under a concurrent
@@ -729,9 +749,6 @@ class SingleFlightStage:
     configured or the driving scheduler cannot suspend (the sequential
     default), so golden digests are untouched.
     """
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
 
     def run(self, ctx: ReadContext):
         core = self.core
@@ -796,7 +813,7 @@ class SingleFlightStage:
         return False
 
 
-class FetchStage:
+class FetchStage(Stage):
     """Full read through the level below, under the retry policy.
 
     Application reads trap the failure for the degradation stage;
@@ -804,8 +821,7 @@ class FetchStage:
     degradation cascade decides.
     """
 
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
+    seam = FETCH_SEAM
 
     def run(self, ctx: ReadContext):
         core = self.core
@@ -851,13 +867,10 @@ class FetchStage:
             ctx.degraded = True
 
 
-class DegradationStage:
+class DegradationStage(Stage):
     """The fetch-failure cascade: fresh content fetched past a failed
     backing level first, bounded stale bytes second, and only then does
     the read fail."""
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
 
     def run(self, ctx: ReadContext):
         if ctx.fetch_error is None:
@@ -912,15 +925,12 @@ class DegradationStage:
         )
 
 
-class AdmissionStage:
+class AdmissionStage(Stage):
     """Terminal miss stage: consult the admission policy, fill, account.
 
     The returned cacheability vote decides whether/how to fill (§3);
     content larger than the whole cache is served but never admitted.
     """
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
 
     def run(self, ctx: ReadContext):
         core = self.core
@@ -971,19 +981,22 @@ class AdmissionStage:
 
 
 class ReadPipeline:
-    """Runs the read stages in order until one produces a result.
+    """Runs one read: the front step, then the stages in order until one
+    produces a result.
 
-    One read is a generator over the stage sequence; the scheduler that
-    drives it decides whether suspensions interleave other reads
-    (async) or resolve inline (sequential, the default).
+    :meth:`read` drives a read inline under the core's sequential
+    scheduler; :meth:`iterate` expresses it as a generator for a
+    scheduler that decides whether suspensions interleave other reads.
+    Both run the same stage objects.
     """
 
     def __init__(self, core: CacheCore, writes: "WritePipeline") -> None:
         self.core = core
-        self.stages = [
-            DirtyFlushStage(core, writes),
-            LookupStage(core),
-            VerifierGateStage(core),
+        self.writes = writes
+        self.gate = VerifierGateStage(core)
+        #: The stages after the gate: where a read goes when the gate
+        #: found no entry or dropped the one it found.
+        self.miss_stages = (
             AdoptionStage(core),
             L2Stage(core),
             MemoStage(core),
@@ -991,23 +1004,68 @@ class ReadPipeline:
             FetchStage(core),
             DegradationStage(core),
             AdmissionStage(core),
-        ]
-        #: Seam suspensions yielded *before* the keyed stage when the
-        #: driving scheduler can interleave: the verifier seam and the
-        #: fetch/chain seam, the two places a concurrent read path may
-        #: switch to another read.
-        self._seams = {
-            id(self.stages[2]): VERIFIER_SEAM,
-            id(self.stages[7]): FETCH_SEAM,
-        }
+        )
+        self.stages = (self.gate, *self.miss_stages)
 
-    def read(self, reference: "DocumentReference") -> CacheReadOutcome:
-        """Application read: run the stages to a ``CacheReadOutcome``."""
-        return self.core.scheduler.drive(self.iterate(reference))
+    def read(
+        self,
+        reference: "DocumentReference",
+        *,
+        for_fill: bool = False,
+        enqueued_ms: float | None = None,
+    ):
+        """One read to its terminal result: a ``CacheReadOutcome``, or
+        ``(content, meta)`` when serving an upper cache's fill.
+
+        Under the sequential scheduler nothing can suspend, so the read
+        runs inline: the front step, the verifier gate straight on the
+        entry it found, and a context object only for a read that goes
+        on to the miss stages.
+        """
+        core = self.core
+        if core.scheduler.supports_concurrency:
+            return core.scheduler.drive(
+                self.iterate(
+                    reference, for_fill=for_fill, enqueued_ms=enqueued_ms
+                )
+            )
+        key = EntryKey.for_reference(reference)
+        started_ms = core.ctx.clock.now_ms
+        budget = None
+        if core.overload is not None and not for_fill:
+            budget = core.overload.budget_for(reference, enqueued_ms)
+            self._admit(reference, key, enqueued_ms)
+        entry = self._lookup(reference, key)
+        stale = None
+        if entry is not None:
+            result = self.gate.serve(
+                reference, key, entry, started_ms, for_fill
+            )
+            if result.__class__ is Invalidated:
+                stale = result.stale
+            elif result is not None:
+                return result
+        ctx = ReadContext(
+            reference=reference,
+            key=key,
+            started_ms=started_ms,
+            for_fill=for_fill,
+            stale=stale,
+            scheduler=core.scheduler,
+            enqueued_ms=enqueued_ms,
+            budget=budget,
+        )
+        for stage in self.miss_stages:
+            result = stage.run(ctx)
+            if result is not None:
+                return result
+        raise CacheError(
+            "read pipeline ended without a terminal stage result"
+        )  # pragma: no cover - AdmissionStage always terminates
 
     def read_for_fill(self, reference: "DocumentReference"):
         """Lower-level serve: run the stages to ``(content, meta)``."""
-        return self.core.scheduler.drive(self.iterate(reference, for_fill=True))
+        return self.read(reference, for_fill=True)
 
     def iterate(
         self,
@@ -1048,34 +1106,13 @@ class ReadPipeline:
         concurrent = ctx.scheduler is not None and ctx.scheduler.supports_concurrency
         try:
             if not ctx.for_fill and core.overload is not None:
-                decision = core.overload.admit(ctx.reference, ctx.enqueued_ms)
-                if decision is not None:
-                    if not decision.admitted:
-                        core.emit(
-                            "overload", "shed", key=ctx.key,
-                            priority=PRIORITY_NAMES[decision.priority],
-                            reason=decision.reason,
-                            sojourn_ms=decision.sojourn_ms,
-                        )
-                        raise OverloadShedError(
-                            f"read shed by admission control "
-                            f"({decision.reason}: priority "
-                            f"{PRIORITY_NAMES[decision.priority]}, sojourn "
-                            f"{decision.sojourn_ms:.1f}ms, queue depth "
-                            f"{decision.queue_depth:.0f})"
-                        )
-                    core.emit(
-                        "overload", "admitted", key=ctx.key,
-                        priority=PRIORITY_NAMES[decision.priority],
-                        sojourn_ms=decision.sojourn_ms,
-                    )
+                self._admit(ctx.reference, ctx.key, ctx.enqueued_ms)
             while True:
+                ctx.entry = self._lookup(ctx.reference, ctx.key)
                 followed = False
                 for stage in self.stages:
-                    if concurrent:
-                        seam = self._seams.get(id(stage))
-                        if seam is not None:
-                            yield seam
+                    if concurrent and stage.seam is not None:
+                        yield stage.seam
                     result = stage.run(ctx)
                     if isinstance(result, Suspension):
                         # Park on the leader's flight; on wake, re-enter
@@ -1108,6 +1145,52 @@ class ReadPipeline:
                 ctx.flight = None
             raise
 
+    def _admit(
+        self,
+        reference: "DocumentReference",
+        key: EntryKey,
+        enqueued_ms: float | None,
+    ) -> None:
+        """Overload admission control: raise when the read is shed."""
+        core = self.core
+        decision = core.overload.admit(reference, enqueued_ms)
+        if decision is None:
+            return
+        priority = PRIORITY_NAMES[decision.priority]
+        if not decision.admitted:
+            core.emit(
+                "overload", "shed", key=key,
+                priority=priority,
+                reason=decision.reason,
+                sojourn_ms=decision.sojourn_ms,
+            )
+            raise OverloadShedError(
+                f"read shed by admission control "
+                f"({decision.reason}: priority "
+                f"{priority}, sojourn "
+                f"{decision.sojourn_ms:.1f}ms, queue depth "
+                f"{decision.queue_depth:.0f})"
+            )
+        core.emit(
+            "overload", "admitted", key=key,
+            priority=priority,
+            sojourn_ms=decision.sojourn_ms,
+        )
+
+    def _lookup(
+        self, reference: "DocumentReference", key: EntryKey
+    ) -> CacheEntry | None:
+        """The front step: the live entry for *key*, if any.
+
+        A write-back user reading their own dirty document must see
+        their buffered write, so it is flushed through the full path
+        first.
+        """
+        core = self.core
+        if key in core.dirty:
+            self.writes.flush(reference)
+        return core.entries.get(key)
+
     def _resume_follower(self, ctx: ReadContext, payload) -> None:
         """Reset per-attempt state after a flight wait; keep started_ms.
 
@@ -1131,12 +1214,9 @@ class ReadPipeline:
 # -- write stages --------------------------------------------------------------
 
 
-class InterposeStage:
+class InterposeStage(Stage):
     """Route the write: straight through (invalidating locally) or into
     the buffer stage, paying only the local hop now."""
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
 
     def run(self, ctx: WriteContext):
         core = self.core
@@ -1151,12 +1231,9 @@ class InterposeStage:
         return None
 
 
-class BufferStage:
+class BufferStage(Stage):
     """Write-back terminal: buffer dirty bytes, supersede the read entry,
     forward WRITE_FORWARDED to interested properties."""
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
 
     def run(self, ctx: WriteContext):
         core = self.core
@@ -1175,16 +1252,13 @@ class BufferStage:
         return True
 
 
-class FlushStage:
+class FlushStage(Stage):
     """Push one buffered write-back through the full write path.
 
     Runs under the retry policy, if one is configured.  A flush that
     still fails keeps the dirty buffer (the write is not lost; a later
     flush can retry) and re-raises.
     """
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
 
     def flush(self, reference: "DocumentReference") -> bool:
         core = self.core

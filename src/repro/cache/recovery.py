@@ -51,7 +51,7 @@ import typing
 from dataclasses import dataclass, field
 
 from repro.cache.consistency import InvalidationReason
-from repro.cache.instrumentation import StageEvent
+from repro.cache.instrumentation import Projection
 from repro.cache.verifiers import Verdict
 from repro.errors import (
     LeaseExpiredError,
@@ -251,67 +251,67 @@ class RecoveryStats:
     restarts: int = 0
 
 
-class RecoveryStatsProjection:
+class RecoveryStatsProjection(Projection):
     """Derives :class:`RecoveryStats` from recovery stage events."""
+
+    HANDLERS = {
+        stage: "_on_" + stage
+        for stage in ("channel", "lease", "resync", "journal", "crash")
+    }
 
     def __init__(self, stats: RecoveryStats) -> None:
         self.stats = stats
 
-    def __call__(self, event: StageEvent) -> None:
-        handler = getattr(self, "_on_" + event.stage, None)
-        if handler is not None:
-            handler(event)
-
-    def _on_channel(self, event: StageEvent) -> None:
+    def _on_channel(self, stage, outcome, elapsed_ms, payload) -> None:
         stats = self.stats
-        if event.outcome == "gap":
+        if outcome == "gap":
             stats.gaps_detected += 1
-            stats.notifications_missed += event.payload.get("missed", 0)
-        elif event.outcome == "checkpoint-gap":
+            stats.notifications_missed += payload.get("missed", 0)
+        elif outcome == "checkpoint-gap":
             stats.checkpoint_gaps += 1
-            stats.notifications_missed += event.payload.get("missed", 0)
-        elif event.outcome == "late":
+            stats.notifications_missed += payload.get("missed", 0)
+        elif outcome == "late":
             stats.late_deliveries += 1
-        elif event.outcome == "epoch":
+        elif outcome == "epoch":
             stats.epoch_bumps += 1
 
-    def _on_lease(self, event: StageEvent) -> None:
+    def _on_lease(self, stage, outcome, elapsed_ms, payload) -> None:
         stats = self.stats
-        if event.outcome == "granted":
+        if outcome == "granted":
             stats.lease_grants += 1
-        elif event.outcome == "renewed":
+        elif outcome == "renewed":
             stats.lease_renewals += 1
-        elif event.outcome == "blocked":
+        elif outcome == "blocked":
             stats.lease_renewals_blocked += 1
-        elif event.outcome == "lapsed":
+        elif outcome == "lapsed":
             stats.lease_lapses += 1
 
-    def _on_resync(self, event: StageEvent) -> None:
+    def _on_resync(self, stage, outcome, elapsed_ms, payload) -> None:
         stats = self.stats
-        if event.outcome == "started":
+        if outcome == "started":
             stats.resyncs += 1
-        elif event.outcome == "repaired":
+        elif outcome == "repaired":
             stats.resync_repairs += 1
-            cls = event.payload.get("invalidation_class", 0)
+            cls = payload.get("invalidation_class", 0)
             stats.repairs_by_class[cls] = (
                 stats.repairs_by_class.get(cls, 0) + 1
             )
 
-    def _on_journal(self, event: StageEvent) -> None:
+    def _on_journal(self, stage, outcome, elapsed_ms, payload) -> None:
         stats = self.stats
-        if event.outcome == "appended":
+        if outcome == "appended":
             stats.journal_appends += 1
-        elif event.outcome == "flush-marked":
+        elif outcome == "flush-marked":
             stats.journal_flush_marks += 1
-        elif event.outcome == "replayed":
+        elif outcome == "replayed":
             stats.journal_replayed += 1
-        elif event.outcome == "replay-skipped":
+        elif outcome == "replay-skipped":
             stats.journal_replays_skipped += 1
 
-    def _on_crash(self, event: StageEvent) -> None:
-        if event.outcome == "crashed":
+    def _on_crash(self, stage, outcome, elapsed_ms, payload) -> None:
+        if outcome == "crashed":
             self.stats.crashes += 1
-        elif event.outcome == "restarted":
+        elif outcome == "restarted":
             self.stats.restarts += 1
 
 

@@ -9,11 +9,13 @@ staleness (hits that served out-of-date bytes, measurable only in
 simulation where ground truth is known).
 
 Since the pipeline refactor these counters are no longer mutated inline
-by the cache: every stage emits structured
-:class:`~repro.cache.instrumentation.StageEvent` records, and a
-:class:`~repro.cache.instrumentation.StatsProjection` subscribed to the
-cache's instrumentation bus derives the counters from the event stream.
-The dataclass itself is unchanged, so everything that reads
+by the cache: every stage publishes a structured observation on the
+cache's instrumentation bus, and a
+:class:`~repro.cache.instrumentation.StatsProjection` subscribed there
+folds each one into these counters — called directly through the bus's
+per-stage route, or fed a
+:class:`~repro.cache.instrumentation.StageEvent` when a plain subscriber
+listens.  The dataclass itself is unchanged, so everything that reads
 ``cache.stats`` keeps working.
 """
 

@@ -525,6 +525,11 @@ class L2Tier:
         existing = core.entries.get(key)
         if existing is not None:
             core.remove_entry(existing)
+        # The promoted bytes are new physical content in L1: make room
+        # before the entry exists, as a fill does.  A heap policy drops
+        # the item of a protected key it pops, so evicting after the
+        # insert would leave the promoted entry unevictable for good.
+        core.evict_to_capacity(protect=key)
         now = core.ctx.clock.now_ms
         entry = CacheEntry(
             key=key,
@@ -552,9 +557,6 @@ class L2Tier:
         if record.recovered:
             self.stats.recovered_promotions += 1
         self._drop_record(record, "promoted")
-        # The promoted bytes are new physical content in L1 — make
-        # room, protecting the entry just built.
-        core.evict_to_capacity(protect=key)
         self.stats.promotions += 1
         core.emit("storage", "promoted", key=key, bytes=record.size)
         core.emit(

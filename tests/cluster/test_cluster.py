@@ -216,6 +216,39 @@ class TestCrossShardMemoSharing:
         assert stats.follows > 0
 
 
+    def test_imported_entries_stay_evictable(self):
+        # A heap policy drops the item of a protected key it pops, so
+        # an import must make room before inserting its entry, or the
+        # imported entry can never be evicted again.
+        kernel = PlacelessKernel()
+        owner = kernel.create_user("owner")
+        corpus = build_corpus(
+            kernel, owner,
+            CorpusSpec(n_documents=6, ttl_ms=3_600_000.0, seed=_SEED),
+        )
+        for document in corpus:
+            document.reference.base.attach(TranslationProperty())
+        population = build_population(
+            kernel, corpus, 4, personalized_fraction=0.0, seed=_SEED
+        )
+        cluster = CacheCluster(
+            kernel,
+            2,
+            capacity_bytes=3 * max(d.size_bytes for d in corpus),
+            cluster_policy=DefaultClusterPolicy(),
+            memo_policy=DefaultMemoPolicy(),
+            name="evict",
+        )
+        references = _all_references(population, 4, 6)
+        for reference in references + references[::-1] + references:
+            cluster.read(reference)
+        assert cluster.shared_memo.imports > 0
+        for shard in cluster.shards.values():
+            shard.core.capacity_bytes = 0
+            shard.core.evict_to_capacity()
+            assert len(shard) == 0
+
+
 class TestInvalidationFanout:
     def test_fanout_counts_shards_actually_holding_entries(self):
         _, corpus, population, cluster = _deploy(4, shared=False)

@@ -41,14 +41,15 @@ def run_seeded_workload(
     capacity_factor: float = 2.0,
     chaos: bool = False,
     overload_policy=None,
-    fast_lane: bool = True,
+    subscriber=None,
 ) -> dict:
     """One deterministic deployment + trace; returns a comparable snapshot.
 
     The exact construction order here is load-bearing: it pins down the
     sequence of RNG draws, virtual-clock charges and fault-plan
     consultations that the golden digests were captured against.  Do not
-    reorder without recapturing the goldens.
+    reorder without recapturing the goldens.  ``subscriber``, if given,
+    is attached to the cache's instrumentation bus after construction.
     """
     kernel = PlacelessKernel()
     if chaos:
@@ -89,8 +90,9 @@ def run_seeded_workload(
         verifier_quarantine_threshold=4 if chaos else None,
         overload_policy=overload_policy,
         name=f"equiv-{seed}",
-        fast_lane=fast_lane,
     )
+    if subscriber is not None:
+        cache.instrumentation.subscribe(subscriber)
     runner = TraceRunner(
         kernel, corpus, population.references, caches=cache,
         writes_via_cache=(write_mode is WriteMode.WRITE_BACK),

@@ -15,6 +15,13 @@ from repro.faults.plan import FaultPlan
 from repro.placeless.kernel import PlacelessKernel
 from repro.providers.memory import MemoryProvider
 from repro.storage import K_JOURNAL
+from repro.workload.churn import (
+    ChurnCatalog,
+    ChurnEventKind,
+    ChurnSpec,
+    generate_churn,
+)
+from repro.workload.documents import CorpusSpec
 
 
 def _deployment(n_docs=6, slots=2, *, faults=None, storage=None, **cache_kwargs):
@@ -104,6 +111,42 @@ class TestDemotePromote:
         assert outcome.content == b"rewritten behind the cache's back"
         assert outcome.disposition != "miss-promoted"
         assert cache.storage_stats.promote_source_mismatches == 1
+
+
+class TestPromotedEntriesStayEvictable:
+    """A heap policy drops the item of a protected key it pops, so a
+    promotion must make room *before* inserting its entry; otherwise
+    promoted entries turn unevictable and, once enough pile up, a read
+    fails with "cannot satisfy capacity"."""
+
+    def test_churn_trace_through_a_small_l1(self, tmp_path):
+        kernel = PlacelessKernel()
+        owner = kernel.create_user("owner")
+        catalog = ChurnCatalog(
+            kernel, owner, CorpusSpec(n_documents=400, seed=5)
+        )
+        cache = DocumentCache(
+            kernel,
+            capacity_bytes=200_000,
+            storage_policy=DefaultStoragePolicy(directory=tmp_path),
+        )
+        clock = kernel.ctx.clock
+        trace = generate_churn(
+            ChurnSpec(
+                n_events=4000, n_documents=400, n_live_start=300, seed=9
+            )
+        )
+        for event in trace:
+            if event.think_time_ms:
+                clock.advance(event.think_time_ms)
+            if event.kind is ChurnEventKind.READ:
+                cache.read(catalog.document(event.document_index).reference)
+        assert cache.storage_stats.promotions > 0
+        # Every live entry is still known to the replacement policy: a
+        # zero capacity evicts them all.
+        cache.core.capacity_bytes = 0
+        cache.core.evict_to_capacity()
+        assert len(cache) == 0
 
 
 class TestCrashRestart:
