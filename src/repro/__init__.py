@@ -103,7 +103,6 @@ from repro.providers import (
 )
 from repro.cluster import (
     CacheCluster,
-    ClusterPolicy,
     DefaultClusterPolicy,
     PlacementRing,
 )
@@ -170,7 +169,6 @@ __all__ = [
     "make_policy",
     # cluster
     "CacheCluster",
-    "ClusterPolicy",
     "DefaultClusterPolicy",
     "PlacementRing",
     # NFS façade

@@ -49,16 +49,11 @@ from repro.cache.pipeline import ReadPipeline, WritePipeline
 from repro.cache.policies import (
     AdmissionDecision,
     AdmissionPolicy,
-    ConcurrencyPolicy,
-    ContainmentPolicy,
     DefaultConcurrencyPolicy,
     DefaultContainmentPolicy,
     DefaultDegradationPolicy,
     DefaultRecoveryPolicy,
     DefaultStoragePolicy,
-    DegradationPolicy,
-    RecoveryPolicy,
-    StoragePolicy,
     VoteAdmissionPolicy,
 )
 from repro.cache.recovery import (
@@ -112,11 +107,8 @@ __all__ = [
     "AdmissionDecision",
     "AdmissionPolicy",
     "VoteAdmissionPolicy",
-    "DegradationPolicy",
     "DefaultDegradationPolicy",
-    "ContainmentPolicy",
     "DefaultContainmentPolicy",
-    "ConcurrencyPolicy",
     "DefaultConcurrencyPolicy",
     "ConcurrencyStats",
     "ContainmentGuard",
@@ -126,9 +118,7 @@ __all__ = [
     "BreakerRegistry",
     "CircuitBreaker",
     "ExecutionBudget",
-    "RecoveryPolicy",
     "DefaultRecoveryPolicy",
-    "StoragePolicy",
     "DefaultStoragePolicy",
     "ConsistencyRecoveryManager",
     "NotifierLease",

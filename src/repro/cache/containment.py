@@ -55,6 +55,7 @@ from repro.streams.base import InputStream, OutputStream
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.entry import CacheEntry
+    from repro.cache.policies import DefaultContainmentPolicy
     from repro.placeless.document import PathMeta
     from repro.placeless.properties import ActiveProperty
     from repro.sim.context import SimContext
@@ -318,24 +319,27 @@ class ContainmentGuard:
     """Coordinates breakers, budgets and firewalls across the three seams.
 
     One guard per cache, built from a
-    :class:`~repro.cache.policies.ContainmentPolicy` and attached to
-    both the cache core (verifier/notifier seams) and the simulation
+    :class:`~repro.cache.policies.DefaultContainmentPolicy` and attached
+    to both the cache core (verifier/notifier seams) and the simulation
     context (stream-wrapper seam, consulted by
     :mod:`repro.streams.chain`).
     """
 
     def __init__(
         self,
-        policy: Any,
+        policy: "DefaultContainmentPolicy",
         ctx: "SimContext",
         instrumentation: InstrumentationBus,
     ) -> None:
         self.policy = policy
         self.ctx = ctx
         self.instrumentation = instrumentation
-        self.wrappers = BreakerRegistry(policy.wrapper_breaker)
-        self.verifiers = BreakerRegistry(policy.verifier_breaker)
-        self.notifiers = BreakerRegistry(policy.notifier_breaker)
+        config = policy.breaker_config()
+        self.wrappers = BreakerRegistry(config)
+        self.verifiers = BreakerRegistry(config)
+        self.notifiers = BreakerRegistry(config)
+        #: Per-invocation caps, or ``None`` when the policy sets none.
+        self.budget = policy.execution_budget()
         self.stats = ContainmentStats()
         instrumentation.subscribe(ContainmentStatsProjection(self.stats))
 
@@ -410,7 +414,7 @@ class ContainmentGuard:
             return self._fallback_input(key, role, stream, meta, cause=error)
         if mode == "corrupt":
             wrapped = chains.CorruptingInputStream(wrapped, site)
-        budget = self.policy.budget
+        budget = self.budget
         if budget is not None and budget.max_bytes is not None:
             wrapped = chains.ByteCapInputStream(wrapped, budget.max_bytes, site)
         return chains.FirewallInputStream(
@@ -472,7 +476,7 @@ class ContainmentGuard:
         self, key: BreakerKey, cost_ms: float
     ) -> BudgetExceededError | None:
         """Pre-invocation cost-cap check; charges the capped time on abort."""
-        budget = self.policy.budget
+        budget = self.budget
         if budget is None:
             return None
         try:
@@ -566,7 +570,7 @@ class ContainmentGuard:
         self, entry: "CacheEntry", verifier: Any
     ) -> None:
         """Budget gate before a verifier runs; raises on overrun."""
-        budget = self.policy.budget
+        budget = self.budget
         if budget is None:
             return
         key = self.verifier_key(entry, verifier)

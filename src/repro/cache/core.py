@@ -35,9 +35,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.manager import DocumentCache, WriteMode
     from repro.cache.policies import (
         AdmissionPolicy,
-        ConcurrencyPolicy,
-        DegradationPolicy,
-        MemoPolicy,
+        DefaultConcurrencyPolicy,
+        DefaultDegradationPolicy,
+        DefaultMemoPolicy,
     )
     from repro.cache.recovery import ConsistencyRecoveryManager
     from repro.cache.replacement import ReplacementPolicy
@@ -81,7 +81,7 @@ class CacheCore:
         cache_id: "CacheId",
         policy: "ReplacementPolicy",
         admission: "AdmissionPolicy",
-        degradation: "DegradationPolicy",
+        degradation: "DefaultDegradationPolicy",
         bus: InvalidationBus,
         instrumentation: InstrumentationBus,
         topology: "Topology",
@@ -135,7 +135,7 @@ class CacheCore:
         #: keeps the read pipeline's memo stage a strict no-op and the
         #: golden digests byte-identical.
         self.memo: TransformMemo | None = None
-        self.memo_policy: "MemoPolicy | None" = None
+        self.memo_policy: "DefaultMemoPolicy | None" = None
         #: The scheduler that drives pipeline generators.  Sequential by
         #: default — the historical one-access-at-a-time regime every
         #: golden digest pins; ``read_many`` swaps in an
@@ -148,7 +148,7 @@ class CacheCore:
         #: The concurrency policy, installed by the manager when one is
         #: configured; ``None`` (the default) keeps the single-flight
         #: stage a strict no-op.
-        self.concurrency: "ConcurrencyPolicy | None" = None
+        self.concurrency: "DefaultConcurrencyPolicy | None" = None
         #: The durable L2 tier, installed by the manager when a storage
         #: policy is configured; ``None`` (the default) keeps the
         #: pipeline's storage stage a strict no-op, evictions purely
@@ -409,6 +409,43 @@ class CacheCore:
         entry.size = len(content)
         self.evict_to_capacity(protect=entry.key)
 
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` where table, store and policy disagree.
+
+        A test oracle, O(entries), never called on the read path; it
+        holds between operations, not inside one.  Checks that every
+        live signature's store refcount equals the number of live
+        entries holding it, that the store's physical bytes are exactly
+        those signatures' bytes and fit the capacity, and that the
+        replacement policy can still evict every unpinned live entry.
+        """
+        holders: dict = {}
+        for entry in self.entries.values():
+            holders[entry.signature] = holders.get(entry.signature, 0) + 1
+        for signature, count in holders.items():
+            refcount = self.store.refcount(signature)
+            if refcount != count:
+                raise AssertionError(
+                    f"{signature.short}: store refcount {refcount}, "
+                    f"held by {count} live entries"
+                )
+        live_bytes = sum(self.store.size_of(s) for s in holders)
+        physical = self.store.physical_bytes
+        if physical != live_bytes:
+            raise AssertionError(
+                f"store holds {physical} bytes, live entries own {live_bytes}"
+            )
+        if physical > self.capacity_bytes:
+            raise AssertionError(
+                f"store holds {physical} bytes over capacity "
+                f"{self.capacity_bytes}"
+            )
+        for key, entry in self.entries.items():
+            if not entry.pinned and not self.policy.tracks(key):
+                raise AssertionError(
+                    f"{key}: live entry unknown to the replacement policy"
+                )
+
     # -- cross-cutting helpers -------------------------------------------------
 
     def meta_from_entry(self, entry: CacheEntry):
@@ -488,9 +525,6 @@ class CacheCore:
     ) -> None:
         """Admission hook: negative-cache an UNCACHEABLE-voting chain."""
         if self.memo is None or fingerprint is None:
-            return
-        policy = self.memo_policy
-        if policy is None or not policy.negative_cache:
             return
         if meta.source_signature is None:
             return

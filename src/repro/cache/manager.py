@@ -44,16 +44,15 @@ from repro.cache.pipeline import (
 )
 from repro.cache.policies import (
     AdmissionPolicy,
-    ConcurrencyPolicy,
-    ContainmentPolicy,
+    DefaultConcurrencyPolicy,
+    DefaultContainmentPolicy,
     DefaultDegradationPolicy,
-    DegradationPolicy,
+    DefaultMemoPolicy,
+    DefaultOverloadPolicy,
+    DefaultRecoveryPolicy,
+    DefaultStoragePolicy,
     GreedyDualSizePolicy,
-    MemoPolicy,
-    OverloadPolicy,
-    RecoveryPolicy,
     ReplacementPolicy,
-    StoragePolicy,
     VoteAdmissionPolicy,
 )
 from repro.cache.recovery import ConsistencyRecoveryManager, RecoveryStats
@@ -107,14 +106,6 @@ class DocumentCache:
     backing:
         Optional second-level cache misses are filled through, modelling
         the §4 deployment with both cache levels.
-    serve_stale_on_error, stale_serve_max_age_ms,
-    verifier_quarantine_threshold, bypass_backing_on_error:
-        Degradation bounds, forwarded to the default
-        :class:`~repro.cache.policies.DefaultDegradationPolicy` (see its
-        docs) — bounded availability-over-freshness stale serving,
-        circuit-breaker quarantine of repeatedly-raising verifiers
-        (inspect and reset via the policy's ``breakers`` registry), and
-        fetching straight from the kernel past a failed backing level.
     retry_policy:
         Optional :class:`~repro.faults.retry.RetryPolicy` applied to
         miss-path fetches and write-back flushes; backoff waits are
@@ -131,8 +122,13 @@ class DocumentCache:
         :class:`~repro.cache.policies.VoteAdmissionPolicy`, the §3
         cacheability-vote behaviour).
     degradation_policy:
-        Override for the degradation bounds/quarantine bookkeeping; when
-        supplied, the four individual degradation arguments are ignored.
+        Degradation bounds
+        (:class:`~repro.cache.policies.DefaultDegradationPolicy`, all
+        off when omitted) — bounded availability-over-freshness stale
+        serving, circuit-breaker quarantine of repeatedly-raising
+        verifiers (inspect and reset via the policy's ``breakers``
+        registry), and fetching straight from the kernel past a failed
+        backing level.
     instrumentation:
         The :class:`~repro.cache.instrumentation.InstrumentationBus`
         stage events are emitted on; a private one is created if not
@@ -140,16 +136,14 @@ class DocumentCache:
         one subscriber.
     recovery_policy:
         Opt-in consistency recovery
-        (:class:`~repro.cache.policies.RecoveryPolicy`, e.g.
-        :class:`~repro.cache.policies.DefaultRecoveryPolicy`): a leased,
+        (:class:`~repro.cache.policies.DefaultRecoveryPolicy`): a leased,
         sequenced notifier channel with gap detection and anti-entropy
         resync, plus a crash-recovery write-back journal.  ``None`` (the
         default) keeps the cache byte-identical to its pre-recovery
         behaviour.
     containment_policy:
         Opt-in containment of misbehaving active-property code
-        (:class:`~repro.cache.policies.ContainmentPolicy`, e.g.
-        :class:`~repro.cache.policies.DefaultContainmentPolicy`):
+        (:class:`~repro.cache.policies.DefaultContainmentPolicy`):
         per-(document, code-site) circuit breakers, per-invocation
         execution budgets and exception firewalls around the stream
         wrappers, verifier executions and notifier callbacks, with a
@@ -158,8 +152,7 @@ class DocumentCache:
         its historical unguarded path.
     memo_policy:
         Opt-in transform memoization
-        (:class:`~repro.cache.policies.MemoPolicy`, e.g.
-        :class:`~repro.cache.policies.DefaultMemoPolicy`): a bounded
+        (:class:`~repro.cache.policies.DefaultMemoPolicy`): a bounded
         ``(source signature, chain fingerprint) → output signature``
         memo consulted between adoption and fetch, so a miss whose
         source bytes and transformation chain match a previous fill is
@@ -168,8 +161,7 @@ class DocumentCache:
         byte-identical to the pre-memo pipeline.
     concurrency_policy:
         Opt-in concurrent read path
-        (:class:`~repro.cache.policies.ConcurrencyPolicy`, e.g.
-        :class:`~repro.cache.policies.DefaultConcurrencyPolicy`):
+        (:class:`~repro.cache.policies.DefaultConcurrencyPolicy`):
         :meth:`read_many` drives batches through an asyncio-backed
         :class:`~repro.sim.scheduler.AsyncScheduler`, and — when the
         policy's ``coalesce`` flag is on — concurrent misses
@@ -182,8 +174,7 @@ class DocumentCache:
         cache byte-identical to its pre-concurrency behaviour.
     storage_policy:
         Opt-in durable L2 tier
-        (:class:`~repro.cache.policies.StoragePolicy`, e.g.
-        :class:`~repro.cache.policies.DefaultStoragePolicy`): evictions
+        (:class:`~repro.cache.policies.DefaultStoragePolicy`): evictions
         demote their bytes and metadata to checksummed on-disk
         segments, misses promote them back under full validity gating
         (chain signature, source probe, CRC, verifiers), the write-back
@@ -195,8 +186,7 @@ class DocumentCache:
         cache byte-identical to its storage-free behaviour.
     overload_policy:
         Opt-in overload robustness
-        (:class:`~repro.cache.policies.OverloadPolicy`, e.g.
-        :class:`~repro.cache.policies.DefaultOverloadPolicy`): every
+        (:class:`~repro.cache.policies.DefaultOverloadPolicy`): every
         application read carries an end-to-end
         :class:`~repro.overload.budget.DeadlineBudget` (tightened to
         the chain's QoS access-time target when one is declared),
@@ -249,21 +239,17 @@ class DocumentCache:
         placement: "CachePlacement | None" = None,
         backing: "DocumentCache | None" = None,
         share_across_users: bool = False,
-        serve_stale_on_error: bool = False,
-        stale_serve_max_age_ms: float | None = None,
         retry_policy: "RetryPolicy | None" = None,
-        verifier_quarantine_threshold: int | None = None,
-        bypass_backing_on_error: bool = False,
         name: str = "cache",
         admission_policy: AdmissionPolicy | None = None,
-        degradation_policy: DegradationPolicy | None = None,
+        degradation_policy: DefaultDegradationPolicy | None = None,
         instrumentation: InstrumentationBus | None = None,
-        recovery_policy: RecoveryPolicy | None = None,
-        containment_policy: ContainmentPolicy | None = None,
-        memo_policy: MemoPolicy | None = None,
-        concurrency_policy: ConcurrencyPolicy | None = None,
-        storage_policy: StoragePolicy | None = None,
-        overload_policy: OverloadPolicy | None = None,
+        recovery_policy: DefaultRecoveryPolicy | None = None,
+        containment_policy: DefaultContainmentPolicy | None = None,
+        memo_policy: DefaultMemoPolicy | None = None,
+        concurrency_policy: DefaultConcurrencyPolicy | None = None,
+        storage_policy: DefaultStoragePolicy | None = None,
+        overload_policy: DefaultOverloadPolicy | None = None,
         core: CacheCore | None = None,
         memo: TransformMemo | None = None,
         flights: "FlightTable | None" = None,
@@ -273,16 +259,26 @@ class DocumentCache:
             self.instrumentation = core.instrumentation
             self._core = core
         else:
+            if capacity_bytes <= 0:
+                raise CacheCapacityError(
+                    f"capacity must be positive: {capacity_bytes}"
+                )
             self.instrumentation = instrumentation or InstrumentationBus()
-            self._core = self._build_core(
+            self._core = CacheCore(
                 kernel=kernel,
                 capacity_bytes=capacity_bytes,
-                name=name,
-                policy=policy,
-                admission_policy=admission_policy,
-                degradation_policy=degradation_policy,
-                bus=bus,
-                placement=placement,
+                cache_id=ctx.ids.cache(name),
+                policy=policy or GreedyDualSizePolicy(),
+                admission=admission_policy or VoteAdmissionPolicy(),
+                degradation=degradation_policy or DefaultDegradationPolicy(),
+                bus=bus
+                or InvalidationBus(ctx, instrumentation=self.instrumentation),
+                instrumentation=self.instrumentation,
+                topology=(
+                    ctx.topology
+                    if placement is None
+                    else Topology(placement=placement)
+                ),
                 write_mode=write_mode,
                 install_notifiers=install_notifiers,
                 use_verifiers=use_verifiers,
@@ -290,12 +286,7 @@ class DocumentCache:
                 share_across_users=share_across_users,
                 backing=backing,
                 retry_policy=retry_policy,
-                serve_stale_on_error=serve_stale_on_error,
-                stale_serve_max_age_ms=stale_serve_max_age_ms,
-                verifier_quarantine_threshold=verifier_quarantine_threshold,
-                bypass_backing_on_error=bypass_backing_on_error,
             )
-        if core is None:
             self._core.name = name
         self._wire_pipelines()
         self._wire_containment(containment_policy, ctx)
@@ -311,66 +302,6 @@ class DocumentCache:
 
     # -- construction steps ---------------------------------------------------
 
-    def _build_core(
-        self,
-        *,
-        kernel: "PlacelessKernel",
-        capacity_bytes: int,
-        name: str,
-        policy: ReplacementPolicy | None,
-        admission_policy: AdmissionPolicy | None,
-        degradation_policy: DegradationPolicy | None,
-        bus: InvalidationBus | None,
-        placement: "CachePlacement | None",
-        write_mode: WriteMode,
-        install_notifiers: bool,
-        use_verifiers: bool,
-        track_staleness: bool,
-        share_across_users: bool,
-        backing: "DocumentCache | None",
-        retry_policy: "RetryPolicy | None",
-        serve_stale_on_error: bool,
-        stale_serve_max_age_ms: float | None,
-        verifier_quarantine_threshold: int | None,
-        bypass_backing_on_error: bool,
-    ) -> CacheCore:
-        """Build the state container from the constructor arguments."""
-        if capacity_bytes <= 0:
-            raise CacheCapacityError(
-                f"capacity must be positive: {capacity_bytes}"
-            )
-        if degradation_policy is None:
-            degradation_policy = DefaultDegradationPolicy(
-                serve_stale_on_error=serve_stale_on_error,
-                stale_serve_max_age_ms=stale_serve_max_age_ms,
-                bypass_backing_on_error=bypass_backing_on_error,
-                verifier_quarantine_threshold=verifier_quarantine_threshold,
-            )
-        ctx = kernel.ctx
-        if placement is None:
-            topology = ctx.topology
-        else:
-            topology = Topology(placement=placement)
-        return CacheCore(
-            kernel=kernel,
-            capacity_bytes=capacity_bytes,
-            cache_id=ctx.ids.cache(name),
-            policy=policy or GreedyDualSizePolicy(),
-            admission=admission_policy or VoteAdmissionPolicy(),
-            degradation=degradation_policy,
-            bus=bus
-            or InvalidationBus(ctx, instrumentation=self.instrumentation),
-            instrumentation=self.instrumentation,
-            topology=topology,
-            write_mode=write_mode,
-            install_notifiers=install_notifiers,
-            use_verifiers=use_verifiers,
-            track_staleness=track_staleness,
-            share_across_users=share_across_users,
-            backing=backing,
-            retry_policy=retry_policy,
-        )
-
     def _wire_pipelines(self) -> None:
         """Projections, stage recorder, read/write pipelines, prefetch."""
         self.recorder = StageRecorder()
@@ -382,7 +313,7 @@ class DocumentCache:
         self._draining_prefetch = False
 
     def _wire_containment(
-        self, containment_policy: ContainmentPolicy | None, ctx
+        self, containment_policy: DefaultContainmentPolicy | None, ctx
     ) -> None:
         self._containment: ContainmentGuard | None = None
         if containment_policy is not None:
@@ -393,7 +324,9 @@ class DocumentCache:
             ctx.containment = self._containment
 
     def _wire_memo(
-        self, memo_policy: MemoPolicy | None, memo: TransformMemo | None
+        self,
+        memo_policy: DefaultMemoPolicy | None,
+        memo: TransformMemo | None,
     ) -> None:
         self._memo_stats: MemoStatsProjection | None = None
         if memo_policy is None:
@@ -411,7 +344,7 @@ class DocumentCache:
 
     def _wire_concurrency(
         self,
-        concurrency_policy: ConcurrencyPolicy | None,
+        concurrency_policy: DefaultConcurrencyPolicy | None,
         flights: "FlightTable | None",
     ) -> None:
         self._concurrency_stats: ConcurrencyStatsProjection | None = None
@@ -423,7 +356,7 @@ class DocumentCache:
             self.instrumentation.subscribe(self._concurrency_stats)
 
     def _wire_overload(
-        self, overload_policy: OverloadPolicy | None, ctx
+        self, overload_policy: DefaultOverloadPolicy | None, ctx
     ) -> None:
         self._overload_stats: OverloadStatsProjection | None = None
         if overload_policy is None:
@@ -432,7 +365,9 @@ class DocumentCache:
         self._overload_stats = OverloadStatsProjection()
         self.instrumentation.subscribe(self._overload_stats)
 
-    def _wire_recovery(self, recovery_policy: RecoveryPolicy | None) -> None:
+    def _wire_recovery(
+        self, recovery_policy: DefaultRecoveryPolicy | None
+    ) -> None:
         self._recovery: ConsistencyRecoveryManager | None = None
         if recovery_policy is not None:
             self._recovery = ConsistencyRecoveryManager(
@@ -443,7 +378,9 @@ class DocumentCache:
         else:
             self.bus.register(self.cache_id, self.apply_invalidation)
 
-    def _wire_storage(self, storage_policy: StoragePolicy | None) -> None:
+    def _wire_storage(
+        self, storage_policy: DefaultStoragePolicy | None
+    ) -> None:
         if storage_policy is None:
             return
         from repro.storage.tier import L2Tier
@@ -470,18 +407,10 @@ class DocumentCache:
         "install_notifiers", "use_verifiers", "track_staleness",
         "share_across_users",
     })
-    #: Degradation bounds, readable under their legacy constructor names.
-    _DEGRADATION_ATTRS = frozenset({
-        "serve_stale_on_error", "stale_serve_max_age_ms",
-        "bypass_backing_on_error",
-    })
 
     def __getattr__(self, name: str):
-        if not name.startswith("_"):
-            if name in DocumentCache._CORE_ATTRS:
-                return getattr(self._core, name)
-            if name in DocumentCache._DEGRADATION_ATTRS:
-                return getattr(self._core.degradation, name)
+        if name in DocumentCache._CORE_ATTRS:
+            return getattr(self._core, name)
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}"
         )
@@ -497,16 +426,9 @@ class DocumentCache:
         return self._core.admission
 
     @property
-    def degradation_policy(self) -> DegradationPolicy:
+    def degradation_policy(self) -> DefaultDegradationPolicy:
         """The degradation/quarantine policy."""
         return self._core.degradation
-
-    @property
-    def verifier_quarantine_threshold(self) -> int | None:
-        """Consecutive verifier raises before quarantine, if enabled."""
-        return getattr(
-            self._core.degradation, "verifier_quarantine_threshold", None
-        )
 
     # -- introspection ------------------------------------------------------
 
@@ -781,7 +703,7 @@ class DocumentCache:
         return self._core.memo
 
     @property
-    def memo_policy(self) -> MemoPolicy | None:
+    def memo_policy(self) -> DefaultMemoPolicy | None:
         """The memo policy, when one is set."""
         return self._core.memo_policy
 
@@ -795,7 +717,7 @@ class DocumentCache:
     # -- concurrency -----------------------------------------------------------
 
     @property
-    def concurrency_policy(self) -> ConcurrencyPolicy | None:
+    def concurrency_policy(self) -> DefaultConcurrencyPolicy | None:
         """The concurrency policy, when one is set."""
         return self._core.concurrency
 
@@ -811,7 +733,7 @@ class DocumentCache:
     # -- overload --------------------------------------------------------------
 
     @property
-    def overload_policy(self) -> OverloadPolicy | None:
+    def overload_policy(self) -> DefaultOverloadPolicy | None:
         """The overload policy, when one is set."""
         gate = self._core.overload
         return gate.policy if gate is not None else None

@@ -37,7 +37,7 @@ The four §3 invalidation classes map onto the memo as follows:
     permuted chain changes the key the same way.
 (d) **external conditions (verifiers)** — a record carrying verifiers is
     re-verified before it is served (or bypassed entirely, per
-    :class:`~repro.cache.policies.MemoPolicy`); chains voting
+    :class:`~repro.cache.policies.DefaultMemoPolicy`); chains voting
     UNCACHEABLE are negative-cached so repeated misses skip the lookup
     machinery without ever serving from the memo.
 

@@ -445,6 +445,12 @@ class AdoptionStage(Stage):
                 core.ctx.charge_hop(hop, 0)
             core.ctx.charge(ADOPTION_COST_MS)
             core.store.adopt(candidate.signature)
+            existing = core.entries.get(key)
+            if existing is not None:
+                # A concurrent read filled this key while this one was
+                # suspended at the verifier seam; replace it, as a fill
+                # does, or its store reference is never released.
+                core.remove_entry(existing)
             entry = CacheEntry(
                 key=key,
                 signature=candidate.signature,
@@ -717,7 +723,7 @@ class SingleFlightStage(Stage):
     """Coalesce concurrent misses into one fetch + one chain execution.
 
     The last gate before the fetch/chain seam.  Under a concurrent
-    scheduler with a :class:`~repro.cache.policies.ConcurrencyPolicy`
+    scheduler with a :class:`~repro.cache.policies.DefaultConcurrencyPolicy`
     whose ``coalesce`` flag is on, a miss probes the core's
     :class:`~repro.sim.scheduler.FlightTable` under two keys:
 
@@ -769,7 +775,7 @@ class SingleFlightStage(Stage):
         if guard is not None and self._chain_blocked(guard, ctx):
             core.emit("coalesce", "bailed-contained", key=ctx.key)
             return None
-        keys = self._coalesce_keys(ctx, policy)
+        keys = self._coalesce_keys(ctx)
         for key in keys:
             flight = core.flights.lookup(key)
             if flight is None:
@@ -785,14 +791,10 @@ class SingleFlightStage(Stage):
         return None
 
     @staticmethod
-    def _coalesce_keys(ctx: ReadContext, policy) -> tuple:
+    def _coalesce_keys(ctx: ReadContext) -> tuple:
         """The flight-table keys this miss coalesces under."""
         keys: tuple = (("entry", ctx.key),)
-        if (
-            policy.coalesce_memo_plane
-            and ctx.memo_source is not None
-            and ctx.memo_fingerprint is not None
-        ):
+        if ctx.memo_source is not None and ctx.memo_fingerprint is not None:
             keys += (("memo", ctx.memo_source, ctx.memo_fingerprint),)
         return keys
 

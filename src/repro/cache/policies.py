@@ -1,27 +1,29 @@
-"""Pluggable cache policies, extracted from the manager monolith.
+"""The cache's policy surface: one import point for every seam.
 
-Three cross-cutting decisions used to be inlined in ``DocumentCache``;
-each now sits behind a small protocol so alternatives can be swapped in
-without touching the pipeline:
+Two decisions have real alternatives and sit behind protocols:
 
 * :class:`AdmissionPolicy` — should fetched content enter the cache?
   The default (:class:`VoteAdmissionPolicy`) reproduces §3's behaviour:
   honour the read path's most-restrictive cacheability vote, refuse
   content larger than the whole cache.
-* :class:`DegradationPolicy` — how far may the cache degrade when the
-  world misbehaves?  Owns the serve-stale bounds, the
-  bypass-failed-backing switch and the verifier-quarantine bookkeeping
-  that PR 1 introduced (thresholds, per-(document, verifier-type)
-  failure streaks).
 * :class:`~repro.cache.replacement.ReplacementPolicy` — who leaves when
-  space runs out; unchanged, re-exported here so the three policy seams
-  share one import surface.
+  space runs out; re-exported here with its cost-aware Greedy-Dual-Size
+  default.
+
+Everything else is configuration with one implementation, so it is a
+plain value rather than a protocol: the frozen ``Default*Policy``
+dataclasses validate their fields on construction and are passed to
+``DocumentCache`` through the matching ``*_policy=`` keyword (``None``
+leaves the seam off).  :class:`DefaultDegradationPolicy` is the one
+stateful policy: it owns the serve-stale bounds, the
+bypass-failed-backing switch and the verifier-quarantine breakers.
 """
 
 from __future__ import annotations
 
 import enum
 import typing
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.cache.containment import (
@@ -34,7 +36,6 @@ from repro.cache.replacement import GreedyDualSizePolicy, ReplacementPolicy
 from repro.errors import CacheError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cache.entry import CacheEntry
     from repro.ids import DocumentId
     from repro.placeless.document import PathMeta
 
@@ -42,19 +43,12 @@ __all__ = [
     "AdmissionDecision",
     "AdmissionPolicy",
     "VoteAdmissionPolicy",
-    "DegradationPolicy",
     "DefaultDegradationPolicy",
-    "ContainmentPolicy",
     "DefaultContainmentPolicy",
-    "MemoPolicy",
     "DefaultMemoPolicy",
-    "ConcurrencyPolicy",
     "DefaultConcurrencyPolicy",
-    "RecoveryPolicy",
     "DefaultRecoveryPolicy",
-    "StoragePolicy",
     "DefaultStoragePolicy",
-    "OverloadPolicy",
     "DefaultOverloadPolicy",
     "ReplacementPolicy",
     "GreedyDualSizePolicy",
@@ -93,48 +87,56 @@ class VoteAdmissionPolicy:
         return AdmissionDecision.ADMIT
 
 
-@runtime_checkable
-class DegradationPolicy(Protocol):
-    """How far the cache may degrade while failures are in progress."""
-
-    serve_stale_on_error: bool
-    stale_serve_max_age_ms: float | None
-    bypass_backing_on_error: bool
-
-    def stale_age_acceptable(self, age_ms: float) -> bool:
-        """May stale bytes of this age be served on fetch failure?"""
-        ...  # pragma: no cover - protocol
-
-    def note_verifier_failure(self, key: tuple["DocumentId", str]) -> bool:
-        """Record one verifier raise; True when this newly quarantines."""
-        ...  # pragma: no cover - protocol
-
-    def note_verifier_success(self, key: tuple["DocumentId", str]) -> None:
-        """A verifier ran clean; reset its failure streak."""
-        ...  # pragma: no cover - protocol
-
-    def is_quarantined(self, key: tuple["DocumentId", str]) -> bool:
-        """Is this (document, verifier type) currently quarantined?"""
-        ...  # pragma: no cover - protocol
-
-
-@runtime_checkable
-class ContainmentPolicy(Protocol):
-    """Configuration seam for the containment layer.
+@dataclass(frozen=True, slots=True)
+class DefaultContainmentPolicy:
+    """One breaker configuration for all three seams + role fallbacks.
 
     A cache constructed with a containment policy gets a
     :class:`~repro.cache.containment.ContainmentGuard` wrapped around
     the three untrusted-code seams (stream wrappers, verifiers,
     notifier callbacks).  ``None`` (the default) builds no guard and
     leaves the cache byte-identical to its uncontained behaviour.
+
+    Parameters
+    ----------
+    failure_threshold, probation_delay_ms, half_open_successes:
+        The closed → open → half-open state machine tuning shared by
+        every breaker (see :class:`~repro.cache.containment.BreakerConfig`).
+    max_cost_ms, max_bytes:
+        Per-invocation execution budgets; both ``None`` disables them.
+    deny_required:
+        Escalate a tripped required transformer's fallback from
+        force-miss to a typed denial.  Optional properties are always
+        skipped.
     """
 
-    #: Breaker tuning per seam (stream wrappers, verifiers, notifiers).
-    wrapper_breaker: BreakerConfig
-    verifier_breaker: BreakerConfig
-    notifier_breaker: BreakerConfig
-    #: Per-invocation execution caps, or ``None`` for no budgets.
-    budget: ExecutionBudget | None
+    failure_threshold: int = 3
+    probation_delay_ms: float | None = 1_000.0
+    half_open_successes: int = 1
+    max_cost_ms: float | None = None
+    max_bytes: int | None = None
+    deny_required: bool = False
+
+    def __post_init__(self) -> None:
+        # Both constructors validate and raise on bad tuning.
+        self.breaker_config()
+        self.execution_budget()
+
+    def breaker_config(self) -> BreakerConfig:
+        """The breaker tuning every seam shares."""
+        return BreakerConfig(
+            failure_threshold=self.failure_threshold,
+            probation_delay_ms=self.probation_delay_ms,
+            half_open_successes=self.half_open_successes,
+        )
+
+    def execution_budget(self) -> ExecutionBudget | None:
+        """Per-invocation caps, or ``None`` when neither cap is set."""
+        if self.max_cost_ms is None and self.max_bytes is None:
+            return None
+        return ExecutionBudget(
+            max_cost_ms=self.max_cost_ms, max_bytes=self.max_bytes
+        )
 
     def fallback(self, role: str) -> str:
         """Fallback for a tripped breaker, given the property's role.
@@ -146,88 +148,24 @@ class ContainmentPolicy(Protocol):
         to the kernel) or ``"deny"`` (refuse with
         :class:`~repro.errors.CircuitOpenError`).
         """
-        ...  # pragma: no cover - protocol
-
-
-class DefaultContainmentPolicy:
-    """One breaker configuration for all three seams + role fallbacks.
-
-    Parameters
-    ----------
-    failure_threshold, probation_delay_ms, half_open_successes:
-        The closed → open → half-open state machine tuning shared by
-        every breaker (see :class:`~repro.cache.containment.BreakerConfig`).
-    max_cost_ms, max_bytes:
-        Per-invocation execution budgets; both ``None`` disables them.
-    deny_required, deny_optional:
-        Escalate the corresponding role's fallback from its default
-        (force-miss for required transformers, skip for optional ones)
-        to a typed denial.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        probation_delay_ms: float | None = 1_000.0,
-        half_open_successes: int = 1,
-        max_cost_ms: float | None = None,
-        max_bytes: int | None = None,
-        deny_required: bool = False,
-        deny_optional: bool = False,
-    ) -> None:
-        config = BreakerConfig(
-            failure_threshold=failure_threshold,
-            probation_delay_ms=probation_delay_ms,
-            half_open_successes=half_open_successes,
-        )
-        self.wrapper_breaker = config
-        self.verifier_breaker = config
-        self.notifier_breaker = config
-        self.budget = (
-            ExecutionBudget(max_cost_ms=max_cost_ms, max_bytes=max_bytes)
-            if max_cost_ms is not None or max_bytes is not None
-            else None
-        )
-        self.deny_required = deny_required
-        self.deny_optional = deny_optional
-
-    def fallback(self, role: str) -> str:
         if role == "required":
             return "deny" if self.deny_required else "force-miss"
-        return "deny" if self.deny_optional else "skip"
+        return "skip"
 
 
-@runtime_checkable
-class MemoPolicy(Protocol):
-    """Configuration seam for the transform memoization plane.
+@dataclass(frozen=True, slots=True)
+class DefaultMemoPolicy:
+    """Transform memoization with sensible bounds, off unless supplied.
 
     A cache constructed with a memo policy gets a bounded
     :class:`~repro.cache.memo.TransformMemo` consulted by the read
     pipeline's memo stage: a miss whose ``(current source signature,
     chain fingerprint)`` pair was recorded by an earlier admission is
     answered with a signature-only adoption instead of a provider fetch
-    plus a full property-chain execution.  ``None`` (the default) keeps
-    the stage a strict no-op and the cache byte-identical to its
-    unmemoized behaviour.
-    """
-
-    #: Maximum records the memo table holds (LRU beyond that).
-    capacity: int
-    #: Virtual cost of probing the repository's current source
-    #: signature at consult time (a metadata-only exchange, the memo's
-    #: analogue of the adoption handshake).
-    probe_cost_ms: float
-    #: Re-run a record's verifiers before serving it (the paper's
-    #: class-(d) external conditions); ``False`` bypasses the memo for
-    #: verifier-gated records instead of trusting them unverified.
-    verify_on_serve: bool
-    #: Remember UNCACHEABLE-voting chains so repeated misses skip the
-    #: candidate machinery without ever serving from the memo.
-    negative_cache: bool
-
-
-class DefaultMemoPolicy:
-    """Transform memoization with sensible bounds, off unless supplied.
+    plus a full property-chain execution, and chains voting UNCACHEABLE
+    are negative-cached so repeated misses skip the candidate
+    machinery.  ``None`` (the default) keeps the stage a strict no-op
+    and the cache byte-identical to its unmemoized behaviour.
 
     Parameters
     ----------
@@ -240,32 +178,24 @@ class DefaultMemoPolicy:
     verify_on_serve:
         Re-run recorded verifiers before serving a memoized output
         (default) instead of bypassing verifier-gated records.
-    negative_cache:
-        Negative-cache UNCACHEABLE-voting chains (default on).
     """
 
-    def __init__(
-        self,
-        capacity: int = 1024,
-        probe_cost_ms: float = 0.2,
-        verify_on_serve: bool = True,
-        negative_cache: bool = True,
-    ) -> None:
-        if capacity < 1:
-            raise CacheError(f"memo capacity must be >= 1: {capacity}")
-        if probe_cost_ms < 0:
+    capacity: int = 1024
+    probe_cost_ms: float = 0.2
+    verify_on_serve: bool = True
+
+    def __post_init__(self) -> None:
+        if self.capacity < 1:
+            raise CacheError(f"memo capacity must be >= 1: {self.capacity}")
+        if self.probe_cost_ms < 0:
             raise CacheError(
-                f"probe_cost_ms must be non-negative: {probe_cost_ms}"
+                f"probe_cost_ms must be non-negative: {self.probe_cost_ms}"
             )
-        self.capacity = capacity
-        self.probe_cost_ms = probe_cost_ms
-        self.verify_on_serve = verify_on_serve
-        self.negative_cache = negative_cache
 
 
-@runtime_checkable
-class ConcurrencyPolicy(Protocol):
-    """Configuration seam for the concurrent read path.
+@dataclass(frozen=True, slots=True)
+class DefaultConcurrencyPolicy:
+    """Single-flight coalescing with sensible bounds.
 
     A cache constructed with a concurrency policy may drive read
     batches through an :class:`~repro.sim.scheduler.AsyncScheduler`
@@ -274,26 +204,10 @@ class ConcurrencyPolicy(Protocol):
     :class:`~repro.cache.pipeline.SingleFlightStage` shares one
     provider fetch and one property-chain execution among every
     concurrent requester of the same ``(document, user)`` key — and,
-    via the transform-memo plane, the same ``(source signature, chain
-    fingerprint)`` pair.  ``None`` (the default) keeps the stage a
-    strict no-op, ``read_many`` sequential, and the cache
+    when a memo policy supplies the probed pair, the same ``(source
+    signature, chain fingerprint)`` pair.  ``None`` (the default) keeps
+    the stage a strict no-op, ``read_many`` sequential, and the cache
     byte-identical to its pre-concurrency behaviour.
-    """
-
-    #: Coalesce concurrent misses into single flights at all.
-    coalesce: bool
-    #: Additionally coalesce under the memo-plane key, sharing one
-    #: chain execution among *different* users whose chains would
-    #: produce identical bytes (requires a memo policy to have
-    #: populated the context's probe results).
-    coalesce_memo_plane: bool
-    #: Budget bail-out: at most this many reads may park on one flight;
-    #: excess reads fetch for themselves.  ``None`` for unbounded.
-    max_followers: int | None
-
-
-class DefaultConcurrencyPolicy:
-    """Single-flight coalescing with sensible bounds.
 
     Parameters
     ----------
@@ -301,88 +215,55 @@ class DefaultConcurrencyPolicy:
         Coalesce concurrent misses (default on — constructing the
         policy at all is the opt-in; pass ``False`` for an ablation
         that runs the async scheduler with no coalescing).
-    coalesce_memo_plane:
-        Also coalesce under the ``(source signature, chain
-        fingerprint)`` key (default on; only effective when the cache
-        also has a memo policy, which supplies the probed pair).
     max_followers:
-        Follower cap per flight (``None`` = unbounded, the default).
+        Follower cap per flight (``None`` = unbounded, the default);
+        excess reads fetch for themselves.
     """
 
-    def __init__(
-        self,
-        coalesce: bool = True,
-        coalesce_memo_plane: bool = True,
-        max_followers: int | None = None,
-    ) -> None:
-        if max_followers is not None and max_followers < 1:
+    coalesce: bool = True
+    max_followers: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_followers is not None and self.max_followers < 1:
             raise CacheError(
-                f"max_followers must be >= 1: {max_followers}"
+                f"max_followers must be >= 1: {self.max_followers}"
             )
-        self.coalesce = coalesce
-        self.coalesce_memo_plane = coalesce_memo_plane
-        self.max_followers = max_followers
 
 
-@runtime_checkable
-class RecoveryPolicy(Protocol):
-    """Configuration seam for the consistency-recovery layer.
+@dataclass(frozen=True, slots=True)
+class DefaultRecoveryPolicy:
+    """Leases + sequencing + journal, resync when needed.
 
     A cache constructed with a recovery policy gets a leased, sequenced
-    notifier channel (gap detection + anti-entropy resync) and — for
-    write-back caches — a crash-recovery journal.  ``None`` (the
-    default) leaves every recovery mechanism off and the cache
-    byte-identical to its pre-recovery behaviour.
-    """
-
-    #: Lease term on the notifier registration; renewals run at half the
-    #: term on the virtual clock, so a suspect or lapsed channel is
-    #: resynced within one term (the bounded-staleness guarantee).
-    lease_term_ms: float
-    #: Stamp (epoch, sequence) on deliveries and detect gaps.
-    sequence_invalidations: bool
-    #: Journal buffered write-backs so a crash/restart replays them.
-    journal_writes: bool
-
-    def resync_due(self, *, suspect: bool, lapsed: bool) -> bool:
-        """Should this renewal tick trigger an anti-entropy resync?"""
-        ...  # pragma: no cover - protocol
-
-
-class DefaultRecoveryPolicy:
-    """Everything on: leases + sequencing + journal, resync when needed.
+    notifier channel (gap detection + anti-entropy resync) and a
+    crash-recovery journal for its write-backs.  ``None`` (the default)
+    leaves every recovery mechanism off and the cache byte-identical to
+    its pre-recovery behaviour.
 
     Parameters
     ----------
     lease_term_ms:
-        The notifier-registration lease term (renewed at half-term).
-    sequence_invalidations, journal_writes:
-        Individually disable gap detection or the write-back journal
-        (both on by default) for ablations.
+        The notifier-registration lease term.  Renewals run at half the
+        term on the virtual clock, so a suspect or lapsed channel is
+        resynced within one term (the bounded-staleness guarantee).
     """
 
-    def __init__(
-        self,
-        lease_term_ms: float = 2_000.0,
-        sequence_invalidations: bool = True,
-        journal_writes: bool = True,
-    ) -> None:
-        if lease_term_ms <= 0:
+    lease_term_ms: float = 2_000.0
+
+    def __post_init__(self) -> None:
+        if self.lease_term_ms <= 0:
             raise CacheError(
-                f"lease_term_ms must be positive: {lease_term_ms}"
+                f"lease_term_ms must be positive: {self.lease_term_ms}"
             )
-        self.lease_term_ms = lease_term_ms
-        self.sequence_invalidations = sequence_invalidations
-        self.journal_writes = journal_writes
 
     def resync_due(self, *, suspect: bool, lapsed: bool) -> bool:
         """Resync whenever the channel is suspect or the lease lapsed."""
         return suspect or lapsed
 
 
-@runtime_checkable
-class StoragePolicy(Protocol):
-    """Configuration seam for the durable L2 tier.
+@dataclass(frozen=True, slots=True)
+class DefaultStoragePolicy:
+    """Durable tier with everything on, off unless supplied.
 
     A cache constructed with a storage policy gets an
     :class:`~repro.storage.tier.L2Tier`: evictions demote their bytes
@@ -392,103 +273,33 @@ class StoragePolicy(Protocol):
     ``DocumentCache.restart()`` recovers all of it after a crash.
     ``None`` (the default) builds no tier and leaves the cache
     byte-identical to its storage-free behaviour.
-    """
-
-    #: Directory holding the tier's segments, or ``None`` for a private
-    #: temporary directory (fresh per cache — durable across crashes
-    #: within a run, not across processes).
-    directory: "str | None"
-    #: Individually disable the demote / promote / spill flows.
-    demote_on_evict: bool
-    promote_on_hit: bool
-    spill_journal: bool
-    spill_memo: bool
-    #: Re-run verifiers on *every* promotion; recovered records are
-    #: verified on first serve regardless of this knob.
-    verify_on_promote: bool
-    #: Virtual costs of the disk operations (per record) and of the
-    #: promote-time source-signature probe.
-    write_cost_ms: float
-    read_cost_ms: float
-    sync_cost_ms: float
-    probe_cost_ms: float
-    #: Storage-breaker tuning: consecutive disk failures before the
-    #: tier trips open (falling back to L1-only), and the probation
-    #: delay before a half-open retry.
-    breaker_failure_threshold: int
-    breaker_probation_ms: "float | None"
-
-
-class DefaultStoragePolicy:
-    """Durable tier with everything on, off unless supplied.
 
     Parameters
     ----------
     directory:
         Segment directory (one subdirectory per cache id); ``None``
-        (default) uses a private temporary directory.
-    demote_on_evict, promote_on_hit, spill_journal, spill_memo:
-        Individually disable the four flows (all on by default) for
-        ablations.
-    verify_on_promote:
-        Re-run verifiers on every promotion (default on).  Recovered
-        records are always verified on their first serve even when
-        this is off.
-    write_cost_ms, read_cost_ms, sync_cost_ms, probe_cost_ms:
-        Virtual costs charged per disk write, read, fsync and
-        promote-time source probe.
-    breaker_failure_threshold, breaker_probation_ms:
-        Storage-breaker tuning (see
+        (default) uses a private temporary directory — durable across
+        crashes within a run, not across processes.
+    breaker_failure_threshold:
+        Consecutive disk failures before the storage breaker trips open
+        and the cache falls back to L1-only (see
         :class:`~repro.cache.containment.BreakerConfig`).
     """
 
-    def __init__(
-        self,
-        directory: "str | None" = None,
-        demote_on_evict: bool = True,
-        promote_on_hit: bool = True,
-        spill_journal: bool = True,
-        spill_memo: bool = True,
-        verify_on_promote: bool = True,
-        write_cost_ms: float = 0.4,
-        read_cost_ms: float = 0.25,
-        sync_cost_ms: float = 0.5,
-        probe_cost_ms: float = 0.2,
-        breaker_failure_threshold: int = 3,
-        breaker_probation_ms: "float | None" = 2_000.0,
-    ) -> None:
-        for name, value in (
-            ("write_cost_ms", write_cost_ms),
-            ("read_cost_ms", read_cost_ms),
-            ("sync_cost_ms", sync_cost_ms),
-            ("probe_cost_ms", probe_cost_ms),
-        ):
-            if value < 0:
-                raise CacheError(
-                    f"{name} must be non-negative: {value}"
-                )
-        if breaker_failure_threshold < 1:
+    directory: "str | None" = None
+    breaker_failure_threshold: int = 3
+
+    def __post_init__(self) -> None:
+        if self.breaker_failure_threshold < 1:
             raise CacheError(
                 "breaker_failure_threshold must be >= 1: "
-                f"{breaker_failure_threshold}"
+                f"{self.breaker_failure_threshold}"
             )
-        self.directory = directory
-        self.demote_on_evict = demote_on_evict
-        self.promote_on_hit = promote_on_hit
-        self.spill_journal = spill_journal
-        self.spill_memo = spill_memo
-        self.verify_on_promote = verify_on_promote
-        self.write_cost_ms = write_cost_ms
-        self.read_cost_ms = read_cost_ms
-        self.sync_cost_ms = sync_cost_ms
-        self.probe_cost_ms = probe_cost_ms
-        self.breaker_failure_threshold = breaker_failure_threshold
-        self.breaker_probation_ms = breaker_probation_ms
 
 
-@runtime_checkable
-class OverloadPolicy(Protocol):
-    """Configuration seam for the overload-robustness layer.
+@dataclass(frozen=True, slots=True)
+class DefaultOverloadPolicy:
+    """Deadlines + shedding + hedging with sensible defaults.
 
     A cache constructed with an overload policy gets an
     :class:`~repro.overload.gate.OverloadGate`: reads carry a
@@ -502,49 +313,13 @@ class OverloadPolicy(Protocol):
     shards are hedged to their replica and hard-failing shards routed
     around.  ``None`` (the default) builds no gate and leaves the
     cache byte-identical to its pre-overload behaviour.
-    """
-
-    #: Deadline propagation: budget every read, gate expensive seams.
-    deadlines_enabled: bool
-    #: Allowance for chains without a finite QoS target.
-    default_deadline_ms: float
-    #: Tighten the allowance to the chain's QoS ``max_access_time_ms``.
-    deadline_from_qos: bool
-    #: Admission control / load shedding.
-    shedding_enabled: bool
-    #: Token-bucket refill rate (reads per virtual second) and capacity.
-    admission_rate_per_s: float
-    admission_burst: float
-    #: Overdraft bound: queue depth past which non-critical reads shed.
-    queue_limit: float
-    #: CoDel-style sojourn threshold; bulk reads shed past it, QoS
-    #: reads past twice it, critical reads never.
-    sojourn_threshold_ms: float
-    #: Cluster hedging + health (ignored by a standalone cache).
-    hedging_enabled: bool
-    #: Hedge delay = healthy-fleet p95 × this factor, clamped below.
-    hedge_delay_factor: float
-    hedge_delay_min_ms: float
-    hedge_delay_max_ms: float
-    #: Gray detection: EWMA ≥ factor × healthiest peer's EWMA, after
-    #: at least ``health_min_samples`` reads.
-    gray_latency_factor: float
-    health_min_samples: int
-    health_ewma_alpha: float
-    #: Failover: consecutive errors that mark a shard unhealthy, and
-    #: consecutive clean reads that restore it (and its stickiness).
-    unhealthy_error_threshold: int
-    recovery_successes: int
-
-
-class DefaultOverloadPolicy:
-    """Deadlines + shedding + hedging with sensible defaults.
 
     Parameters
     ----------
     deadlines, shedding, hedging:
         Individually disable the three mechanisms (all on by default —
         constructing the policy at all is the opt-in) for ablations.
+        Hedging only applies to a cluster.
     default_deadline_ms:
         End-to-end budget for reads whose chain carries no finite QoS
         access-time target (the paper's §3 example is 250 ms).
@@ -553,105 +328,71 @@ class DefaultOverloadPolicy:
     admission_rate_per_s, admission_burst, queue_limit,
     sojourn_threshold_ms:
         Admission-controller tuning (see
-        :class:`~repro.overload.admission.AdmissionController`).
-    hedge_delay_factor, hedge_delay_min_ms, hedge_delay_max_ms:
-        Hedge-delay shaping over the healthy-fleet p95.
-    gray_latency_factor, health_min_samples, health_ewma_alpha,
-    unhealthy_error_threshold, recovery_successes:
-        Health-tracker tuning (see
-        :class:`~repro.overload.health.HealthTracker`).
+        :class:`~repro.overload.admission.AdmissionController`): token
+        refill rate and capacity, the queue depth past which
+        non-critical reads shed, and the CoDel-style sojourn threshold
+        (bulk reads shed past it, QoS reads past twice it, critical
+        reads never).
+    gray_latency_factor, health_min_samples, recovery_successes:
+        Cluster health tuning (see
+        :class:`~repro.overload.health.HealthTracker`): a shard is gray
+        once its EWMA reaches the factor × the healthiest peer's after
+        at least ``health_min_samples`` reads, and an unhealthy shard
+        is restored after ``recovery_successes`` clean reads.
     """
 
-    def __init__(
-        self,
-        deadlines: bool = True,
-        shedding: bool = True,
-        hedging: bool = True,
-        default_deadline_ms: float = 250.0,
-        deadline_from_qos: bool = True,
-        admission_rate_per_s: float = 200.0,
-        admission_burst: float = 16.0,
-        queue_limit: float = 32.0,
-        sojourn_threshold_ms: float = 100.0,
-        hedge_delay_factor: float = 1.0,
-        hedge_delay_min_ms: float = 1.0,
-        hedge_delay_max_ms: float = 250.0,
-        gray_latency_factor: float = 3.0,
-        health_min_samples: int = 8,
-        health_ewma_alpha: float = 0.2,
-        unhealthy_error_threshold: int = 3,
-        recovery_successes: int = 3,
-    ) -> None:
-        if default_deadline_ms <= 0:
+    deadlines: bool = True
+    shedding: bool = True
+    hedging: bool = True
+    default_deadline_ms: float = 250.0
+    deadline_from_qos: bool = True
+    admission_rate_per_s: float = 200.0
+    admission_burst: float = 16.0
+    queue_limit: float = 32.0
+    sojourn_threshold_ms: float = 100.0
+    gray_latency_factor: float = 3.0
+    health_min_samples: int = 8
+    recovery_successes: int = 3
+
+    def __post_init__(self) -> None:
+        if self.default_deadline_ms <= 0:
             raise CacheError(
-                f"default_deadline_ms must be positive: {default_deadline_ms}"
+                "default_deadline_ms must be positive: "
+                f"{self.default_deadline_ms}"
             )
-        if admission_rate_per_s <= 0:
+        if self.admission_rate_per_s <= 0:
             raise CacheError(
-                f"admission_rate_per_s must be positive: {admission_rate_per_s}"
+                "admission_rate_per_s must be positive: "
+                f"{self.admission_rate_per_s}"
             )
-        if admission_burst < 1:
+        if self.admission_burst < 1:
             raise CacheError(
-                f"admission_burst must be >= 1: {admission_burst}"
+                f"admission_burst must be >= 1: {self.admission_burst}"
             )
-        if queue_limit < 0:
+        if self.queue_limit < 0:
             raise CacheError(
-                f"queue_limit must be non-negative: {queue_limit}"
+                f"queue_limit must be non-negative: {self.queue_limit}"
             )
-        if sojourn_threshold_ms < 0:
+        if self.sojourn_threshold_ms < 0:
             raise CacheError(
                 f"sojourn_threshold_ms must be non-negative: "
-                f"{sojourn_threshold_ms}"
+                f"{self.sojourn_threshold_ms}"
             )
-        if hedge_delay_factor <= 0:
+        if self.gray_latency_factor <= 1.0:
             raise CacheError(
-                f"hedge_delay_factor must be positive: {hedge_delay_factor}"
+                f"gray_latency_factor must be > 1: {self.gray_latency_factor}"
             )
-        if not 0 <= hedge_delay_min_ms <= hedge_delay_max_ms:
+        if self.health_min_samples < 1 or self.recovery_successes < 1:
             raise CacheError(
-                "hedge delay clamp must satisfy 0 <= min <= max: "
-                f"{hedge_delay_min_ms}..{hedge_delay_max_ms}"
+                "health_min_samples and recovery_successes must be >= 1"
             )
-        if gray_latency_factor <= 1.0:
-            raise CacheError(
-                f"gray_latency_factor must be > 1: {gray_latency_factor}"
-            )
-        if not 0.0 < health_ewma_alpha <= 1.0:
-            raise CacheError(
-                f"health_ewma_alpha must be in (0, 1]: {health_ewma_alpha}"
-            )
-        if (
-            health_min_samples < 1
-            or unhealthy_error_threshold < 1
-            or recovery_successes < 1
-        ):
-            raise CacheError(
-                "health_min_samples, unhealthy_error_threshold and "
-                "recovery_successes must be >= 1"
-            )
-        self.deadlines_enabled = deadlines
-        self.shedding_enabled = shedding
-        self.hedging_enabled = hedging
-        self.default_deadline_ms = default_deadline_ms
-        self.deadline_from_qos = deadline_from_qos
-        self.admission_rate_per_s = admission_rate_per_s
-        self.admission_burst = admission_burst
-        self.queue_limit = queue_limit
-        self.sojourn_threshold_ms = sojourn_threshold_ms
-        self.hedge_delay_factor = hedge_delay_factor
-        self.hedge_delay_min_ms = hedge_delay_min_ms
-        self.hedge_delay_max_ms = hedge_delay_max_ms
-        self.gray_latency_factor = gray_latency_factor
-        self.health_min_samples = health_min_samples
-        self.health_ewma_alpha = health_ewma_alpha
-        self.unhealthy_error_threshold = unhealthy_error_threshold
-        self.recovery_successes = recovery_successes
 
 
 class DefaultDegradationPolicy:
-    """The PR-1 degradation cascade, now in one swappable object.
+    """How far the cache may degrade while failures are in progress.
 
-    Parameters mirror the former ``DocumentCache`` keyword arguments:
+    Passed as ``DocumentCache(..., degradation_policy=...)``; a cache
+    built without one gets the all-off default.
     ``serve_stale_on_error`` / ``stale_serve_max_age_ms`` bound the
     availability-over-freshness fallback, ``bypass_backing_on_error``
     lets misses route past a failed second level, and
@@ -703,6 +444,7 @@ class DefaultDegradationPolicy:
     # -- serve-stale bounds ----------------------------------------------------
 
     def stale_age_acceptable(self, age_ms: float) -> bool:
+        """May stale bytes of this age be served on fetch failure?"""
         if self.stale_serve_max_age_ms is None:
             return True
         return age_ms <= self.stale_serve_max_age_ms
@@ -710,11 +452,13 @@ class DefaultDegradationPolicy:
     # -- verifier quarantine ---------------------------------------------------
 
     def note_verifier_failure(self, key: tuple["DocumentId", str]) -> bool:
+        """Record one verifier raise; True when this newly quarantines."""
         if self.verifier_quarantine_threshold is None:
             return False
         return self.breakers.get(key).record_failure()
 
     def note_verifier_success(self, key: tuple["DocumentId", str]) -> None:
+        """A verifier ran clean; reset its failure streak."""
         if self.verifier_quarantine_threshold is None:
             return
         breaker = self.breakers.peek(key)
@@ -722,5 +466,6 @@ class DefaultDegradationPolicy:
             breaker.record_success()
 
     def is_quarantined(self, key: tuple["DocumentId", str]) -> bool:
+        """Is this (document, verifier type) currently quarantined?"""
         breaker = self.breakers.peek(key)
         return breaker is not None and breaker.state is BreakerState.OPEN

@@ -27,8 +27,8 @@ items would otherwise accumulate without bound (every insert/remove
 cycle leaves one behind), so the heap compacts itself whenever stale
 items outnumber live ones past a threshold.
 
-Replacement is one of the cache's three pluggable policy seams (with
-admission and degradation); :mod:`repro.cache.policies` re-exports
+Replacement is one of the cache's two pluggable policy seams (with
+admission); :mod:`repro.cache.policies` re-exports
 :class:`ReplacementPolicy` so the seams share one import surface, and
 ``CacheCore.evict_to_capacity`` is the sole call site.
 """
@@ -84,6 +84,10 @@ class ReplacementPolicy(abc.ABC):
 
     def on_remove(self, entry: CacheEntry) -> None:
         """Forget *entry* (default: rely on lazy deletion)."""
+
+    def tracks(self, key: EntryKey) -> bool:
+        """Could *key* be chosen as a victim (default: every live key)?"""
+        return True
 
     @abc.abstractmethod
     def select_victim(
@@ -144,6 +148,10 @@ class _HeapPolicy(ReplacementPolicy):
         # the bookkeeping is updated — the item itself is lazily
         # deleted at pop time or swept by compaction.
         self._stamps.pop(entry.key, None)
+
+    def tracks(self, key: EntryKey) -> bool:
+        """True while *key* has a current heap item."""
+        return key in self._stamps
 
     def select_victim(
         self,

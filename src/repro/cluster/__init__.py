@@ -11,8 +11,9 @@ every shard's signature-only adopt), fans ``read_many`` batches across
 shards on one deterministic scheduler with single-flight coalescing
 spanning shard boundaries, and repairs topology changes (rebalance,
 shard loss) by reusing the A13 anti-entropy resync.  Everything is
-opt-in behind :class:`~repro.cluster.policy.ClusterPolicy`; a one-shard
-cluster with no policy is byte-identical to a plain ``DocumentCache``.
+opt-in behind :class:`~repro.cluster.policy.DefaultClusterPolicy`; a
+one-shard cluster with no policy is byte-identical to a plain
+``DocumentCache``.
 """
 
 from repro.cluster.coordinator import CacheCluster
@@ -23,7 +24,7 @@ from repro.cluster.placement import (
     PlacementRing,
     ReinforcedCounterPolicy,
 )
-from repro.cluster.policy import ClusterPolicy, DefaultClusterPolicy
+from repro.cluster.policy import DefaultClusterPolicy
 
 __all__ = [
     "CacheCluster",
@@ -32,6 +33,5 @@ __all__ = [
     "PlacementPolicy",
     "HashRingPolicy",
     "ReinforcedCounterPolicy",
-    "ClusterPolicy",
     "DefaultClusterPolicy",
 ]

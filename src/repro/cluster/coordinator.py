@@ -11,7 +11,7 @@ seams rather than a parallel construction path:
 * one :class:`~repro.cache.notifiers.InvalidationBus` is shared, each
   shard registering its own cache id, so the paper's notifier model
   (AFS-style callbacks to *many* caches) finally has many caches;
-* with a :class:`~repro.cluster.policy.ClusterPolicy`, one
+* with a :class:`~repro.cluster.policy.DefaultClusterPolicy`, one
   :class:`~repro.cluster.memo_share.SharedTransformMemo` is installed
   as every shard's memo (cross-shard memo sharing) and one
   :class:`~repro.sim.scheduler.FlightTable` as every shard's flight
@@ -44,7 +44,7 @@ from repro.cache.notifiers import InvalidationBus
 from repro.cache.stats import CacheStats
 from repro.cluster.memo_share import SharedTransformMemo
 from repro.cluster.placement import HashRingPolicy, PlacementPolicy
-from repro.cluster.policy import ClusterPolicy
+from repro.cluster.policy import DefaultClusterPolicy
 from repro.errors import CacheError, DeadlineExceededError, OverloadShedError
 from repro.overload.health import HealthTracker
 from repro.overload.hedge import hedged_iterate
@@ -55,16 +55,22 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.entry import CacheEntry
     from repro.cache.instrumentation import ConcurrencyStats
     from repro.cache.policies import (
-        ConcurrencyPolicy,
-        MemoPolicy,
-        OverloadPolicy,
-        RecoveryPolicy,
+        DefaultConcurrencyPolicy,
+        DefaultMemoPolicy,
+        DefaultOverloadPolicy,
+        DefaultRecoveryPolicy,
     )
     from repro.ids import DocumentId, UserId
     from repro.placeless.kernel import PlacelessKernel
     from repro.placeless.reference import DocumentReference
 
 __all__ = ["CacheCluster"]
+
+#: Clamp on the hedge delay: a backup launched sooner doubles load for
+#: nothing, one launched later than the default read deadline saves
+#: nothing.
+HEDGE_DELAY_MIN_MS = 1.0
+HEDGE_DELAY_MAX_MS = 250.0
 
 
 class CacheCluster:
@@ -77,7 +83,7 @@ class CacheCluster:
         physical content-store capacity *per shard*.
     cluster_policy:
         What the shards may share (:class:`~repro.cluster.policy
-        .ClusterPolicy`); ``None`` builds fully isolated shards.
+        .DefaultClusterPolicy`); ``None`` builds fully isolated shards.
         ``share_memo`` requires a ``memo_policy``.
     placement_policy:
         The ``entry key → shard`` decision; defaults to
@@ -96,15 +102,15 @@ class CacheCluster:
         (topology repair *is* an anti-entropy resync).
     overload_policy:
         Opt-in overload robustness (:class:`~repro.cache.policies
-        .OverloadPolicy`), forwarded to every shard (deadline budgets +
-        admission control per shard) and additionally activating the
-        cluster-level machinery: a :class:`~repro.overload.health
-        .HealthTracker` fed from every shard's instrumentation bus,
-        hedged reads that launch a backup on the replica shard once a
-        miss stalls at the fetch seam for the healthy fleet's p95
-        (loser cancelled), and placement failover that routes around a
-        shard with ``unhealthy_error_threshold`` consecutive failed
-        reads — sending every fourth read through as a canary so
+        .DefaultOverloadPolicy`), forwarded to every shard (deadline
+        budgets + admission control per shard) and additionally
+        activating the cluster-level machinery: a
+        :class:`~repro.overload.health.HealthTracker` fed from every
+        shard's instrumentation bus, hedged reads that launch a backup
+        on the replica shard once a miss stalls at the fetch seam for
+        the healthy fleet's p95 (loser cancelled), and placement
+        failover that routes around a shard with three consecutive
+        failed reads — sending every fourth read through as a canary so
         ``recovery_successes`` clean responses restore stickiness.
         ``None`` (the default) keeps routing, reads and digests
         byte-identical to the pre-overload cluster.
@@ -123,13 +129,13 @@ class CacheCluster:
         shard_count: int,
         capacity_bytes: int,
         *,
-        cluster_policy: ClusterPolicy | None = None,
+        cluster_policy: DefaultClusterPolicy | None = None,
         placement_policy: PlacementPolicy | None = None,
         topology: ClusterTopology | None = None,
-        memo_policy: "MemoPolicy | None" = None,
-        concurrency_policy: "ConcurrencyPolicy | None" = None,
-        recovery_policy: "RecoveryPolicy | None" = None,
-        overload_policy: "OverloadPolicy | None" = None,
+        memo_policy: "DefaultMemoPolicy | None" = None,
+        concurrency_policy: "DefaultConcurrencyPolicy | None" = None,
+        recovery_policy: "DefaultRecoveryPolicy | None" = None,
+        overload_policy: "DefaultOverloadPolicy | None" = None,
         name: str = "cluster",
         shard_kwargs: dict | None = None,
     ) -> None:
@@ -164,10 +170,8 @@ class CacheCluster:
         self._draining_probes = False
         if overload_policy is not None:
             self.health = HealthTracker(
-                ewma_alpha=overload_policy.health_ewma_alpha,
                 gray_latency_factor=overload_policy.gray_latency_factor,
                 min_samples=overload_policy.health_min_samples,
-                error_threshold=overload_policy.unhealthy_error_threshold,
                 recovery_successes=overload_policy.recovery_successes,
             )
         self._next_index = 0
@@ -408,7 +412,7 @@ class CacheCluster:
         policy = self._overload_policy
         return (
             policy is not None
-            and policy.hedging_enabled
+            and policy.hedging
             and len(self._shards) >= 2
         )
 
@@ -416,18 +420,15 @@ class CacheCluster:
         """How long a miss may stall at the fetch seam before hedging.
 
         The healthy fleet's p95 read latency (excluding the primary),
-        scaled by the policy's ``hedge_delay_factor`` and clamped to
-        its [min, max] window; before the tracker has samples the max
-        is used, so cold clusters hedge conservatively.
+        clamped to [``HEDGE_DELAY_MIN_MS``, ``HEDGE_DELAY_MAX_MS``];
+        before the tracker has samples the max is used, so cold
+        clusters hedge conservatively.
         """
-        policy = self._overload_policy
-        assert policy is not None and self.health is not None
+        assert self.health is not None
         p95 = self.health.p95_healthy_ms(excluding=primary)
-        base = p95 if p95 is not None else policy.hedge_delay_max_ms
-        delay = base * policy.hedge_delay_factor
-        return min(
-            max(delay, policy.hedge_delay_min_ms), policy.hedge_delay_max_ms
-        )
+        if p95 is None:
+            return HEDGE_DELAY_MAX_MS
+        return min(max(p95, HEDGE_DELAY_MIN_MS), HEDGE_DELAY_MAX_MS)
 
     def _hedged_generator(
         self,

@@ -1,7 +1,7 @@
 """The per-cache overload facade the read pipeline consults.
 
 One :class:`OverloadGate` is wired onto each cache core that carries an
-:class:`~repro.cache.policies.OverloadPolicy`.  It owns the cache's
+:class:`~repro.cache.policies.DefaultOverloadPolicy`.  It owns the cache's
 :class:`~repro.overload.admission.AdmissionController` and builds the
 :class:`~repro.overload.budget.DeadlineBudget` for each read — from the
 chain's QoS access-time target when one is attached (the paper's
@@ -18,7 +18,7 @@ from repro.properties.qos import QoSProperty
 from repro.streams.chain import read_chain_properties
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cache.policies import OverloadPolicy
+    from repro.cache.policies import DefaultOverloadPolicy
     from repro.overload.admission import AdmissionDecision
     from repro.sim.clock import VirtualClock
 
@@ -28,11 +28,13 @@ __all__ = ["OverloadGate"]
 class OverloadGate:
     """Deadline + admission decisions for one cache."""
 
-    def __init__(self, clock: "VirtualClock", policy: "OverloadPolicy") -> None:
+    def __init__(
+        self, clock: "VirtualClock", policy: "DefaultOverloadPolicy"
+    ) -> None:
         self.clock = clock
         self.policy = policy
         self.admission: AdmissionController | None = None
-        if policy.shedding_enabled:
+        if policy.shedding:
             self.admission = AdmissionController(
                 clock,
                 rate_per_s=policy.admission_rate_per_s,
@@ -43,7 +45,7 @@ class OverloadGate:
 
     def deadline_ms_for(self, reference) -> float | None:
         """The read's end-to-end allowance, or ``None`` for no deadline."""
-        if not self.policy.deadlines_enabled:
+        if not self.policy.deadlines:
             return None
         budget_ms = self.policy.default_deadline_ms
         if self.policy.deadline_from_qos:

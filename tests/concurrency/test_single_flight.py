@@ -145,6 +145,19 @@ class TestSingleFlight:
         assert all(not o.hit for o in outcomes)
         assert cache.concurrency_stats.follows == 0
 
+    def test_concurrent_adoptions_of_one_key_leak_no_store_reference(self):
+        # Both reads of user 1's key miss at lookup, suspend at the
+        # verifier seam, then adopt user 0's entry one after the other:
+        # the second adoption must replace the first, not orphan it.
+        _, _, (owner, other), cache = _deployment(
+            n_users=2, share_across_users=True
+        )
+        cache.read(owner)
+        outcomes = cache.read_many([other, other])
+        assert [o.disposition for o in outcomes] == ["miss-adopted"] * 2
+        assert len(cache) == 2
+        cache.core.check_invariants()
+
     def test_batch_after_fill_is_all_hits(self):
         _, provider, (reference,), cache = _deployment()
         cache.read(reference)
