@@ -537,6 +537,23 @@ class ContainmentGuard:
             f"containment denied {key[1]} for document {key[0]} (write)"
         ) from cause
 
+    def chain_blocked(
+        self, document_id: Any, chain: "typing.Iterable[ActiveProperty]"
+    ) -> bool:
+        """True when any *chain* property's wrapper breaker is open.
+
+        Peeks rather than gets: a memo consult or a flight-table probe
+        must neither create breakers nor consume half-open probe slots —
+        probing is the fetch path's job.
+        """
+        for prop in chain:
+            breaker = self.wrappers.peek(
+                (document_id, chains.property_site(prop))
+            )
+            if breaker is not None and breaker.state is BreakerState.OPEN:
+                return True
+        return False
+
     # -- verifier seam ---------------------------------------------------------
 
     def verifier_key(

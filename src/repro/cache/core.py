@@ -9,6 +9,14 @@ evict, content replacement, event forwarding — while the per-stage
 admission) lives in :mod:`repro.cache.pipeline` and the public API in
 :mod:`repro.cache.manager`.
 
+Every miss the cache answers without running the property chain — a
+§3 signature adoption, a transform-memo serve, an L2 promotion — goes
+through the same three steps a fill does: :meth:`CacheCore.reverify`
+re-runs the verifiers guarding the reused bytes,
+:meth:`CacheCore.install` makes the signature live for the new
+(document, user) key, and :meth:`CacheCore.miss_result` terminates the
+read.
+
 Everything here charges the virtual clock in exactly the order the
 pre-pipeline monolith did; the equivalence tests pin that.
 """
@@ -16,6 +24,7 @@ pre-pipeline monolith did; the equivalence tests pin that.
 from __future__ import annotations
 
 import typing
+from dataclasses import dataclass
 
 from repro.cache.consistency import Invalidation, InvalidationReason
 from repro.cache.entry import CacheEntry, EntryKey
@@ -23,7 +32,8 @@ from repro.cache.instrumentation import InstrumentationBus
 from repro.cache.memo import ChainFingerprint, MemoRecord, TransformMemo
 from repro.cache.notifiers import InvalidationBus, install_minimum_notifiers
 from repro.cache.stats import CacheStats
-from repro.content.signature import sign
+from repro.cache.verifiers import Verdict, Verifier
+from repro.content.signature import ContentSignature, sign
 from repro.content.store import ContentStore
 from repro.errors import CacheError
 from repro.events.types import EventType
@@ -31,8 +41,10 @@ from repro.sim.scheduler import FlightTable, Scheduler, SequentialScheduler
 from repro.streams.chain import read_chain_properties
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cache.cacheability import Cacheability
     from repro.cache.containment import ContainmentGuard
     from repro.cache.manager import DocumentCache, WriteMode
+    from repro.cache.pipeline import ReadContext
     from repro.cache.policies import (
         AdmissionPolicy,
         DefaultConcurrencyPolicy,
@@ -45,6 +57,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ids import CacheId, DocumentId
     from repro.overload.budget import DeadlineBudget
     from repro.overload.gate import OverloadGate
+    from repro.placeless.document import PathMeta
     from repro.placeless.kernel import PlacelessKernel
     from repro.placeless.reference import DocumentReference
     from repro.sim.context import SimContext
@@ -53,6 +66,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "CacheCore",
+    "CacheReadOutcome",
     "NOTIFIER_INSTALL_COST_MS",
     "VERIFIER_INSTALL_COST_MS",
     "ADOPTION_COST_MS",
@@ -69,6 +83,34 @@ ADOPTION_COST_MS = 0.3
 
 #: Shared empty read-only bucket for documents with no cached entries.
 _NO_ENTRIES: dict = {}
+
+
+@dataclass(slots=True)
+class CacheReadOutcome:
+    """Result of one read through the cache."""
+
+    content: bytes
+    hit: bool
+    elapsed_ms: float
+    #: "hit", "revalidated", "miss", "miss-verifier", "miss-invalidated",
+    #: "uncacheable", "miss-oversize", "miss-adopted", "miss-memoized"
+    #: (served by the transform memo: signature adoption, no chain
+    #: execution), "miss-promoted" (served by promoting a demoted copy
+    #: back from the durable L2 tier — chain-, source-, CRC- and
+    #: verifier-gated), or a degraded mode: "stale-on-error" (bounded
+    #: stale bytes served because the refetch failed) / "miss-degraded"
+    #: (fetched past a failed backing level).
+    disposition: str
+
+    @property
+    def degraded(self) -> bool:
+        """True when this read was answered in a degradation mode."""
+        return self.disposition in ("stale-on-error", "miss-degraded")
+
+    @property
+    def size(self) -> int:
+        """Bytes delivered to the application."""
+        return len(self.content)
 
 
 class CacheCore:
@@ -132,8 +174,8 @@ class CacheCore:
         self.containment: "ContainmentGuard | None" = None
         #: The transform memoization plane, installed by the manager
         #: when a memo policy is configured; ``None`` (the default)
-        #: keeps the read pipeline's memo stage a strict no-op and the
-        #: golden digests byte-identical.
+        #: keeps the memo stage out of the read plan and the golden
+        #: digests byte-identical.
         self.memo: TransformMemo | None = None
         self.memo_policy: "DefaultMemoPolicy | None" = None
         #: The scheduler that drives pipeline generators.  Sequential by
@@ -147,11 +189,11 @@ class CacheCore:
         self.flights = FlightTable()
         #: The concurrency policy, installed by the manager when one is
         #: configured; ``None`` (the default) keeps the single-flight
-        #: stage a strict no-op.
+        #: stage out of the read plan.
         self.concurrency: "DefaultConcurrencyPolicy | None" = None
         #: The durable L2 tier, installed by the manager when a storage
         #: policy is configured; ``None`` (the default) keeps the
-        #: pipeline's storage stage a strict no-op, evictions purely
+        #: storage stage out of the read plan, evictions purely
         #: destructive and restarts cold.
         self.l2: "L2Tier | None" = None
         #: The overload gate (deadlines + admission control), installed
@@ -270,38 +312,79 @@ class CacheCore:
 
     def fill(
         self, reference: "DocumentReference", key: EntryKey,
-        content: bytes, meta,
+        content: bytes, meta: "PathMeta",
     ) -> CacheEntry:
-        """Insert (or refresh) the entry for *key* with *content*."""
-        existing = self.entries.get(key)
-        if existing is not None:
-            self.remove_entry(existing)
-
+        """Insert (or refresh) the entry for *key* with fetched *content*."""
         # Sign once: the signature feeds the store (which would
         # otherwise re-hash the same bytes) and the transform memo.
         signature = sign(content)
         self.store.put_signed(content, signature)
+        # Fill overhead: the returned verifiers are registered (charged
+        # inside the install) and the minimum notifier set installed —
+        # Table 1's miss-vs-no-cache delta.
+        return self.install(
+            reference, key, signature, len(content),
+            cacheability=meta.cacheability,
+            verifiers=meta.verifiers,
+            replacement_cost_ms=meta.replacement_cost_ms,
+            chain_signature=meta.chain_signature,
+            pinned=bool(getattr(meta, "pin", False)),
+            source_signature=meta.source_signature,
+            verifier_install_ms=VERIFIER_INSTALL_COST_MS * len(meta.verifiers),
+        )
+
+    def install(
+        self,
+        reference: "DocumentReference",
+        key: EntryKey,
+        signature: ContentSignature,
+        size: int,
+        *,
+        cacheability: "Cacheability",
+        verifiers: typing.Iterable[Verifier],
+        replacement_cost_ms: float,
+        chain_signature: tuple[str, ...],
+        pinned: bool,
+        source_signature: ContentSignature | None,
+        verifier_install_ms: float | None = None,
+    ) -> CacheEntry:
+        """Make *signature* live for *key*: the one way an entry is born.
+
+        Runs after the caller's store operation — ``put_signed`` for
+        new bytes, ``adopt`` for bytes the store already holds — whose
+        one reference the entry takes over.  Any existing entry for the
+        key is replaced, and room is made *before* the new entry exists:
+        a heap policy drops the item of a protected key it pops, so
+        evicting after the insert would leave the entry unevictable for
+        good.  When no new bytes arrived the store already fits and the
+        eviction is a no-op.  Then the entry is inserted and registered
+        with the replacement policy, *verifier_install_ms* (a fill's
+        verifier registration) is charged, the minimum notifier set is
+        installed and recovery learns the entry's reference.
+        """
+        existing = self.entries.get(key)
+        if existing is not None:
+            self.remove_entry(existing)
         self.evict_to_capacity(protect=key)
         now = self.ctx.clock.now_ms
         entry = CacheEntry(
             key=key,
             signature=signature,
-            size=len(content),
-            cacheability=meta.cacheability,
-            verifiers=list(meta.verifiers),
-            replacement_cost_ms=meta.replacement_cost_ms,
-            chain_signature=meta.chain_signature,
+            size=size,
+            cacheability=cacheability,
+            verifiers=list(verifiers),
+            replacement_cost_ms=replacement_cost_ms,
+            chain_signature=chain_signature,
             reference_id=reference.reference_id,
             created_at_ms=now,
             last_access_ms=now,
+            pinned=pinned,
+            policy_state={"source_signature": source_signature},
         )
-        entry.pinned = bool(getattr(meta, "pin", False))
-        entry.policy_state["source_signature"] = meta.source_signature
         self.insert_entry(entry)
         self.policy.on_insert(entry)
-        # Fill overhead: register the returned verifiers and install the
-        # minimum notifier set — Table 1's miss-vs-no-cache delta.
-        self.ctx.charge(VERIFIER_INSTALL_COST_MS * len(meta.verifiers))
+        if verifier_install_ms is not None:
+            self.ctx.charge(verifier_install_ms)
         if self.install_notifiers:
             installed = install_minimum_notifiers(
                 reference, self.bus, self.cache_id
@@ -310,6 +393,73 @@ class CacheCore:
         if self.recovery is not None:
             self.recovery.note_reference(key, reference)
         return entry
+
+    def charge_metadata_exchange(self) -> None:
+        """Charge the handshake that maps a new key onto held bytes.
+
+        Adoption, memo serves and L2 promotions move no content across
+        the network: the local hop at zero bytes, plus the exchange that
+        establishes the (document, user) → signature mapping.
+        """
+        for hop in self.topology.hit_path():
+            self.ctx.charge_hop(hop, 0)
+        self.ctx.charge(ADOPTION_COST_MS)
+
+    def reverify(
+        self,
+        key: EntryKey,
+        verifiers: typing.Iterable[Verifier],
+        content: bytes,
+    ) -> bool:
+        """Re-run *verifiers* over bytes about to be reused for a miss.
+
+        Each verifier is charged, observed as ``verifier``/``executed``,
+        offered to the fault plan's verifier seam and run at the current
+        clock.  True when every one returns VALID; a raise or any other
+        verdict refuses the reuse.
+        """
+        sim = self.ctx
+        for verifier in verifiers:
+            started_ms = sim.clock.now_ms
+            sim.charge(verifier.cost_ms)
+            self.emit(
+                "verifier", "executed", key=key, started_ms=started_ms,
+                cost_ms=verifier.cost_ms,
+            )
+            try:
+                if sim.faults is not None:
+                    sim.faults.check_verifier(
+                        verifier.cost_ms, label=type(verifier).__name__
+                    )
+                result = verifier.run(sim.clock.now_ms, content)
+            except Exception:
+                return False
+            if result.verdict is not Verdict.VALID:
+                return False
+        return True
+
+    def miss_result(
+        self,
+        ctx: "ReadContext",
+        content: bytes,
+        disposition: str,
+        meta: "PathMeta | None",
+    ):
+        """Terminate a miss: emit ``read``/*disposition*, build the result.
+
+        A read serving an upper cache's fill gets ``(content, meta)``;
+        an application read gets a :class:`CacheReadOutcome`.
+        """
+        self.emit(
+            "read", disposition, key=ctx.key, started_ms=ctx.started_ms
+        )
+        if ctx.for_fill:
+            return (content, meta)
+        return CacheReadOutcome(
+            content=content, hit=False,
+            elapsed_ms=self.ctx.clock.now_ms - ctx.started_ms,
+            disposition=disposition,
+        )
 
     def evict_to_capacity(self, protect: EntryKey | None = None) -> None:
         """Evict victims until physical bytes fit the capacity.
@@ -403,7 +553,12 @@ class CacheCore:
             self.policy.on_remove(entry)
 
     def replace_content(self, entry: CacheEntry, content: bytes) -> None:
-        """Swap an entry's bytes (verifier REVALIDATED patching)."""
+        """Swap an entry's bytes (verifier REVALIDATED patching).
+
+        Evicts with the patched entry protected and still in the heap; a
+        heap policy that pops it drops its item, and the gate's
+        ``on_access`` pushes it again before the serve returns.
+        """
         self.store.release(entry.signature)
         entry.signature = self.store.put(content)
         entry.size = len(content)

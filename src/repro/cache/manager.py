@@ -263,7 +263,10 @@ class DocumentCache:
                 raise CacheCapacityError(
                     f"capacity must be positive: {capacity_bytes}"
                 )
-            self.instrumentation = instrumentation or InstrumentationBus()
+            self.instrumentation = (
+                InstrumentationBus() if instrumentation is None
+                else instrumentation
+            )
             self._core = CacheCore(
                 kernel=kernel,
                 capacity_bytes=capacity_bytes,
@@ -288,25 +291,33 @@ class DocumentCache:
                 retry_policy=retry_policy,
             )
             self._core.name = name
-        self._wire_pipelines()
+        # Projections subscribe first, so the events of L2's
+        # construction-time recovery scan are counted.
+        self._wire_projections()
         self._wire_containment(containment_policy, ctx)
         self._wire_memo(memo_policy, memo)
         self._wire_concurrency(concurrency_policy, flights)
         self._wire_overload(overload_policy, ctx)
         self._wire_recovery(recovery_policy)
-        # Storage wires last: the tier's construction-time recovery
-        # scan reloads into the memo table and dirty buffer, which the
-        # memo/recovery wiring must have set up first.
+        # Storage wires after memo and recovery: the tier's
+        # construction-time recovery scan reloads into the memo table
+        # and dirty buffer, which their wiring must have set up first.
         self._wire_storage(storage_policy)
+        # The read plan holds only the enabled seams, so it compiles
+        # once every seam is wired.
+        self._wire_pipelines()
         self._schedule_fault_crashes(ctx)
 
     # -- construction steps ---------------------------------------------------
 
-    def _wire_pipelines(self) -> None:
-        """Projections, stage recorder, read/write pipelines, prefetch."""
+    def _wire_projections(self) -> None:
+        """The stats projection and the stage recorder."""
         self.recorder = StageRecorder()
         self.instrumentation.subscribe(StatsProjection(self._core.stats))
         self.instrumentation.subscribe(self.recorder)
+
+    def _wire_pipelines(self) -> None:
+        """Read/write pipelines and the prefetch queue."""
         self._writes = WritePipeline(self._core)
         self._reads = ReadPipeline(self._core, self._writes)
         self._prefetch_queue: list["DocumentReference"] = []

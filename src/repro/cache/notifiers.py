@@ -114,7 +114,10 @@ class InvalidationBus:
     ) -> None:
         self.ctx = ctx
         self.stats = BusStats()
-        self.instrumentation = instrumentation or InstrumentationBus()
+        self.instrumentation = (
+            InstrumentationBus() if instrumentation is None
+            else instrumentation
+        )
         self.instrumentation.subscribe(BusStatsProjection(self.stats))
         self._sinks: dict[CacheId, Callable[[Invalidation], None]] = {}
         self._lost_documents: dict[object, int] = {}

@@ -1,12 +1,17 @@
 """The staged read/write pipeline behind :class:`DocumentCache`.
 
-A read is one front step and a fixed sequence of small stages, each a
-class with one ``run(ctx)`` method over a shared typed
-:class:`ReadContext`:
+A read is one front step and a plan of small stages, each a class with
+one ``run(ctx)`` method over a shared typed :class:`ReadContext`:
 
     [admission control →] dirty flush + lookup → verifier-gate →
-    adoption → l2 → memo → single-flight → fetch → degradation →
-    admission
+    [adoption →] [l2 →] [memo →] [single-flight →] fetch →
+    degradation → admission
+
+The bracketed stages are in a cache's plan only when their seam is
+enabled: adoption with ``share_across_users``, l2 with a storage tier,
+memo with a memo table, single-flight with a concurrency policy that
+coalesces.  :class:`ReadPipeline` compiles the plan once, when the
+cache is built.
 
 A stage returns ``None`` to pass the context on, a terminal result
 (:class:`CacheReadOutcome` for application reads, a ``(content, meta)``
@@ -43,11 +48,13 @@ import typing
 from dataclasses import dataclass
 
 from repro.cache.consistency import InvalidationReason
-from repro.cache.containment import BreakerState
-from repro.cache.core import ADOPTION_COST_MS, NOTIFIER_INSTALL_COST_MS, CacheCore
+from repro.cache.core import CacheCore, CacheReadOutcome
 from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.memo import ChainFingerprint
-from repro.cache.notifiers import install_minimum_notifiers
+# Entries are installed by ``CacheCore.install``; the name stays
+# importable here because the repository benchmark's span tracer
+# (perfbench/spans.py) wraps it in this module too.
+from repro.cache.notifiers import install_minimum_notifiers  # noqa: F401
 from repro.cache.policies import AdmissionDecision
 from repro.cache.verifiers import Verdict
 from repro.errors import CacheError, OverloadShedError
@@ -58,7 +65,7 @@ from repro.sim.scheduler import (
     Scheduler,
     Suspension,
 )
-from repro.streams.chain import property_site, read_chain_properties
+from repro.streams.chain import read_chain_properties
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.overload.budget import DeadlineBudget
@@ -93,34 +100,6 @@ class WriteMode(enum.Enum):
 
     WRITE_THROUGH = "write-through"
     WRITE_BACK = "write-back"
-
-
-@dataclass(slots=True)
-class CacheReadOutcome:
-    """Result of one read through the cache."""
-
-    content: bytes
-    hit: bool
-    elapsed_ms: float
-    #: "hit", "revalidated", "miss", "miss-verifier", "miss-invalidated",
-    #: "uncacheable", "miss-oversize", "miss-adopted", "miss-memoized"
-    #: (served by the transform memo: signature adoption, no chain
-    #: execution), "miss-promoted" (served by promoting a demoted copy
-    #: back from the durable L2 tier — chain-, source-, CRC- and
-    #: verifier-gated), or a degraded mode: "stale-on-error" (bounded
-    #: stale bytes served because the refetch failed) / "miss-degraded"
-    #: (fetched past a failed backing level).
-    disposition: str
-
-    @property
-    def degraded(self) -> bool:
-        """True when this read was answered in a degradation mode."""
-        return self.disposition in ("stale-on-error", "miss-degraded")
-
-    @property
-    def size(self) -> int:
-        """Bytes delivered to the application."""
-        return len(self.content)
 
 
 @dataclass(slots=True)
@@ -395,37 +374,14 @@ class AdoptionStage(Stage):
     A candidate must be another user's valid entry for the same base
     document whose recorded chain signature equals what this reference's
     chain would produce; its verifiers are re-run (the source could have
-    changed) before the signature mapping is established.
+    changed) before the signature mapping is established.  In the plan
+    only with ``share_across_users``.
     """
 
     def run(self, ctx: ReadContext):
         core = self.core
-        if not core.share_across_users:
-            return None
-        adopted = self._try_adopt(ctx)
-        if adopted is None:
-            return None
-        core.emit(
-            "read", "miss-adopted", key=ctx.key, started_ms=ctx.started_ms
-        )
-        if ctx.for_fill:
-            return (
-                core.store.get(adopted.signature),
-                core.meta_from_entry(adopted),
-            )
-        elapsed = core.ctx.clock.now_ms - ctx.started_ms
-        return CacheReadOutcome(
-            content=core.store.get(adopted.signature),
-            hit=False,
-            elapsed_ms=elapsed,
-            disposition="miss-adopted",
-        )
-
-    def _try_adopt(self, ctx: ReadContext) -> CacheEntry | None:
-        core = self.core
         key = ctx.key
         expected = core.expected_chain_signature(ctx.reference)
-        now = core.ctx.clock.now_ms
         # Scan only this document's bucket: adoption candidates are by
         # definition other users' entries for the *same* document, and a
         # full-table scan per miss is O(entries) at churn scale.
@@ -435,69 +391,28 @@ class AdoptionStage(Stage):
             if candidate.chain_signature != expected:
                 continue
             content = core.store.get(candidate.signature)
-            if core.use_verifiers and not self._candidate_fresh(
-                candidate, content, now
+            if core.use_verifiers and not core.reverify(
+                candidate.key, candidate.verifiers, content
             ):
                 continue
-            # Metadata exchange only: one cache-side hop, no content moves
-            # across the network (the bytes are already local).
-            for hop in core.topology.hit_path():
-                core.ctx.charge_hop(hop, 0)
-            core.ctx.charge(ADOPTION_COST_MS)
+            core.charge_metadata_exchange()
             core.store.adopt(candidate.signature)
-            existing = core.entries.get(key)
-            if existing is not None:
-                # A concurrent read filled this key while this one was
-                # suspended at the verifier seam; replace it, as a fill
-                # does, or its store reference is never released.
-                core.remove_entry(existing)
-            entry = CacheEntry(
-                key=key,
-                signature=candidate.signature,
-                size=candidate.size,
+            core.emit("adoption", "adopted", key=key)
+            entry = core.install(
+                ctx.reference, key, candidate.signature, candidate.size,
                 cacheability=candidate.cacheability,
-                verifiers=list(candidate.verifiers),
+                verifiers=candidate.verifiers,
                 replacement_cost_ms=candidate.replacement_cost_ms,
                 chain_signature=expected,
-                reference_id=ctx.reference.reference_id,
-                created_at_ms=now,
-                last_access_ms=now,
+                pinned=candidate.pinned,
+                source_signature=candidate.policy_state.get(
+                    "source_signature"
+                ),
             )
-            entry.pinned = candidate.pinned
-            entry.policy_state["source_signature"] = (
-                candidate.policy_state.get("source_signature")
+            return core.miss_result(
+                ctx, content, "miss-adopted", core.meta_from_entry(entry)
             )
-            core.insert_entry(entry)
-            core.policy.on_insert(entry)
-            core.emit("adoption", "adopted", key=key)
-            if core.install_notifiers:
-                installed = install_minimum_notifiers(
-                    ctx.reference, core.bus, core.cache_id
-                )
-                core.ctx.charge(NOTIFIER_INSTALL_COST_MS * len(installed))
-            return entry
         return None
-
-    def _candidate_fresh(
-        self, candidate: CacheEntry, content: bytes, now_ms: float
-    ) -> bool:
-        """Re-run a candidate's verifiers before adopting its bytes."""
-        core = self.core
-        for verifier in candidate.verifiers:
-            verifier_started_ms = core.ctx.clock.now_ms
-            core.ctx.charge(verifier.cost_ms)
-            core.emit(
-                "verifier", "executed", key=candidate.key,
-                started_ms=verifier_started_ms,
-                cost_ms=verifier.cost_ms,
-            )
-            try:
-                result = verifier.run(now_ms, content)
-            except Exception:
-                return False
-            if result.verdict is not Verdict.VALID:
-                return False
-        return True
 
 
 class L2Stage(Stage):
@@ -513,14 +428,12 @@ class L2Stage(Stage):
     records, unconditionally) its verifiers before serving it as a
     ``miss-promoted`` read.
 
-    A strict no-op when no storage policy is configured, so the default
-    pipeline stays byte-identical to the pre-storage one; likewise a
-    no-op while the storage breaker is open — the L1-only fallback.
+    In the plan only when a storage policy built a tier, so the default
+    pipeline stays byte-identical to the pre-storage one; a no-op while
+    the storage breaker is open — the L1-only fallback.
     """
 
     def run(self, ctx: ReadContext):
-        if self.core.l2 is None:
-            return None
         if ctx.budget is not None and ctx.budget.expired:
             # An expired read skips the disk probe and CRC work: the
             # fetch gate downstream fails it into the degradation
@@ -542,8 +455,8 @@ class MemoStage(Stage):
     :meth:`~repro.content.store.ContentStore.adopt` — with no provider
     fetch and no property-chain execution.
 
-    The stage is a strict no-op when no memo policy is configured, so
-    the default pipeline stays byte-identical to the pre-memo one.
+    In the plan only when a memo table exists, so the default pipeline
+    stays byte-identical to the pre-memo one.
     Consults participate in all four §3 invalidation classes (see
     :mod:`repro.cache.memo`) and respect the containment layer: an open
     breaker on any chain property bypasses the memo, because the
@@ -553,8 +466,7 @@ class MemoStage(Stage):
     def run(self, ctx: ReadContext):
         core = self.core
         memo = core.memo
-        if memo is None:
-            return None
+        assert memo is not None and core.memo_policy is not None
         if ctx.budget is not None and ctx.budget.expired:
             # Same fast-fail as the L2 stage: no probe charge for a
             # read whose deadline already passed.
@@ -562,7 +474,9 @@ class MemoStage(Stage):
             return None
         chain = read_chain_properties(ctx.reference)
         guard = core.containment
-        if guard is not None and self._chain_blocked(guard, ctx.key, chain):
+        if guard is not None and guard.chain_blocked(
+            ctx.key.document_id, chain
+        ):
             core.emit("memo", "bypass-contained", key=ctx.key)
             return None
         fingerprint = ChainFingerprint.compose(
@@ -573,7 +487,6 @@ class MemoStage(Stage):
         # Metadata-only probe of the repository's current source
         # signature — invalidation class (a): a changed source never
         # matches a stale record.
-        assert core.memo_policy is not None
         core.ctx.charge(core.memo_policy.probe_cost_ms)
         source_signature = ctx.reference.base.provider.peek_signature()
         # The probed pair doubles as the memo-plane coalescing key for
@@ -610,7 +523,7 @@ class MemoStage(Stage):
                     core.store.release(record.output_signature)
                 core.emit("memo", "bypass-verifier", key=ctx.key)
                 return None
-            if not self._record_fresh(ctx.key, record, content):
+            if not core.reverify(ctx.key, record.verifiers, content):
                 # Class (d): an external condition gated this record
                 # and no longer holds — the memo must not serve it.
                 if imported:
@@ -618,104 +531,26 @@ class MemoStage(Stage):
                 memo.discard(record)
                 core.emit("memo", "dropped-verifier", key=ctx.key)
                 return None
-        return self._serve(ctx, record, content, imported=imported)
-
-    @staticmethod
-    def _chain_blocked(guard, key: EntryKey, chain) -> bool:
-        """True when any chain property's wrapper breaker is open.
-
-        Peeks rather than gets: a memo consult must neither create
-        breakers nor consume half-open probe slots — probing is the
-        fetch path's job.
-        """
-        for prop in chain:
-            breaker = guard.wrappers.peek(
-                (key.document_id, property_site(prop))
-            )
-            if breaker is not None and breaker.state is BreakerState.OPEN:
-                return True
-        return False
-
-    def _record_fresh(self, key: EntryKey, record, content: bytes) -> bool:
-        """Re-run a record's verifiers before serving its output."""
-        core = self.core
-        for verifier in record.verifiers:
-            verifier_started_ms = core.ctx.clock.now_ms
-            core.ctx.charge(verifier.cost_ms)
-            core.emit(
-                "verifier", "executed", key=key,
-                started_ms=verifier_started_ms,
-                cost_ms=verifier.cost_ms,
-            )
-            try:
-                result = verifier.run(core.ctx.clock.now_ms, content)
-            except Exception:
-                return False
-            if result.verdict is not Verdict.VALID:
-                return False
-        return True
-
-    def _serve(
-        self, ctx: ReadContext, record, content: bytes,
-        *, imported: bool = False,
-    ):
-        """Adopt the recorded output signature and build the entry."""
-        core = self.core
-        key = ctx.key
-        # Metadata exchange only, as in adoption: the local hop with no
-        # content moving, plus the signature-mapping handshake.
-        for hop in core.topology.hit_path():
-            core.ctx.charge_hop(hop, 0)
-        core.ctx.charge(ADOPTION_COST_MS)
+        core.charge_metadata_exchange()
         if not imported:
             # An import already holds the one store reference taken by
             # ``materialize``'s ``put_signed``; the entry takes it over.
             core.store.adopt(record.output_signature)
-        existing = core.entries.get(key)
-        if existing is not None:
-            core.remove_entry(existing)
-        if imported:
-            # Imported bytes are new physical content in this store:
-            # make room before the entry exists, as a fill does (a heap
-            # policy drops the item of a protected key it pops).
-            core.evict_to_capacity(protect=key)
-        now = core.ctx.clock.now_ms
-        entry = CacheEntry(
-            key=key,
-            signature=record.output_signature,
-            size=record.size,
+        entry = core.install(
+            ctx.reference, ctx.key, record.output_signature, record.size,
             cacheability=record.cacheability,
-            verifiers=list(record.verifiers),
+            verifiers=record.verifiers,
             replacement_cost_ms=record.replacement_cost_ms,
             chain_signature=record.chain_signature,
-            reference_id=ctx.reference.reference_id,
-            created_at_ms=now,
-            last_access_ms=now,
+            pinned=record.pin,
+            source_signature=record.source_signature,
         )
-        entry.pinned = record.pin
-        entry.policy_state["source_signature"] = record.source_signature
-        core.insert_entry(entry)
-        core.policy.on_insert(entry)
-        if core.install_notifiers:
-            installed = install_minimum_notifiers(
-                ctx.reference, core.bus, core.cache_id
-            )
-            core.ctx.charge(NOTIFIER_INSTALL_COST_MS * len(installed))
-        if core.recovery is not None:
-            core.recovery.note_reference(key, ctx.reference)
         if imported:
-            core.emit("memo", "adopted", key=key, imported=True)
+            core.emit("memo", "adopted", key=ctx.key, imported=True)
         else:
-            core.emit("memo", "adopted", key=key)
-        core.emit(
-            "read", "miss-memoized", key=key, started_ms=ctx.started_ms,
-        )
-        if ctx.for_fill:
-            return (content, core.meta_from_entry(entry))
-        elapsed = core.ctx.clock.now_ms - ctx.started_ms
-        return CacheReadOutcome(
-            content=content, hit=False, elapsed_ms=elapsed,
-            disposition="miss-memoized",
+            core.emit("memo", "adopted", key=ctx.key)
+        return core.miss_result(
+            ctx, content, "miss-memoized", core.meta_from_entry(entry)
         )
 
 
@@ -751,16 +586,15 @@ class SingleFlightStage(Stage):
     followers), and the policy's ``max_followers`` budget caps how many
     reads may park on one flight — excess reads fetch for themselves.
 
-    The stage is a strict no-op when no concurrency policy is
-    configured or the driving scheduler cannot suspend (the sequential
+    In the plan only with a concurrency policy that coalesces, and a
+    no-op while the driving scheduler cannot suspend (the sequential
     default), so golden digests are untouched.
     """
 
     def run(self, ctx: ReadContext):
         core = self.core
         policy = core.concurrency
-        if policy is None or not policy.coalesce:
-            return None
+        assert policy is not None
         scheduler = ctx.scheduler
         if scheduler is None or not scheduler.supports_concurrency:
             return None
@@ -772,7 +606,9 @@ class SingleFlightStage(Stage):
             core.emit("deadline", "skipped", key=ctx.key, seam="flight")
             return None
         guard = core.containment
-        if guard is not None and self._chain_blocked(guard, ctx):
+        if guard is not None and guard.chain_blocked(
+            ctx.key.document_id, read_chain_properties(ctx.reference)
+        ):
             core.emit("coalesce", "bailed-contained", key=ctx.key)
             return None
         keys = self._coalesce_keys(ctx)
@@ -797,22 +633,6 @@ class SingleFlightStage(Stage):
         if ctx.memo_source is not None and ctx.memo_fingerprint is not None:
             keys += (("memo", ctx.memo_source, ctx.memo_fingerprint),)
         return keys
-
-    @staticmethod
-    def _chain_blocked(guard, ctx: ReadContext) -> bool:
-        """True when any chain property's wrapper breaker is open.
-
-        Mirrors the memo stage's peek-only probe: consulting the flight
-        table must neither create breakers nor consume half-open probe
-        slots.
-        """
-        for prop in read_chain_properties(ctx.reference):
-            breaker = guard.wrappers.peek(
-                (ctx.key.document_id, property_site(prop))
-            )
-            if breaker is not None and breaker.state is BreakerState.OPEN:
-                return True
-        return False
 
 
 class FetchStage(Stage):
@@ -916,15 +736,8 @@ class DegradationStage(Stage):
         if not core.degradation.stale_age_acceptable(age_ms):
             core.emit("degradation", "stale-rejected", key=ctx.key)
             return None
-        elapsed = core.ctx.clock.now_ms - ctx.started_ms
         core.emit("degradation", "stale-served", key=ctx.key)
-        core.emit(
-            "read", "stale-on-error", key=ctx.key, started_ms=ctx.started_ms
-        )
-        return CacheReadOutcome(
-            content=content, hit=False, elapsed_ms=elapsed,
-            disposition="stale-on-error",
-        )
+        return core.miss_result(ctx, content, "stale-on-error", None)
 
 
 class AdmissionStage(Stage):
@@ -945,16 +758,7 @@ class AdmissionStage(Stage):
             # but never admitted, so every access misses to the kernel
             # until the breaker closes.
             core.emit("admission", "contained", key=ctx.key)
-            core.emit(
-                "read", disposition, key=ctx.key, started_ms=ctx.started_ms
-            )
-            if ctx.for_fill:
-                return (content, meta)
-            elapsed = core.ctx.clock.now_ms - ctx.started_ms
-            return CacheReadOutcome(
-                content=content, hit=False, elapsed_ms=elapsed,
-                disposition=disposition,
-            )
+            return core.miss_result(ctx, content, disposition, meta)
         decision = core.admission.decide(content, meta, core.capacity_bytes)
         if decision is AdmissionDecision.UNCACHEABLE:
             core.emit("admission", "uncacheable", key=ctx.key)
@@ -970,16 +774,7 @@ class AdmissionStage(Stage):
                 # A degraded fill (containment skip or backing bypass)
                 # ran a partial chain — its output must not be memoized.
                 core.memo_record_output(ctx.memo_fingerprint, meta, entry)
-        core.emit(
-            "read", disposition, key=ctx.key, started_ms=ctx.started_ms
-        )
-        if ctx.for_fill:
-            return (content, meta)
-        elapsed = core.ctx.clock.now_ms - ctx.started_ms
-        return CacheReadOutcome(
-            content=content, hit=False, elapsed_ms=elapsed,
-            disposition=disposition,
-        )
+        return core.miss_result(ctx, content, disposition, meta)
 
 
 class ReadPipeline:
@@ -997,12 +792,20 @@ class ReadPipeline:
         self.writes = writes
         self.gate = VerifierGateStage(core)
         #: The stages after the gate: where a read goes when the gate
-        #: found no entry or dropped the one it found.
+        #: found no entry or dropped the one it found.  The plan holds
+        #: only the seams the core has enabled, so it must be built
+        #: after every seam is wired.
+        plan: list[Stage] = []
+        if core.share_across_users:
+            plan.append(AdoptionStage(core))
+        if core.l2 is not None:
+            plan.append(L2Stage(core))
+        if core.memo is not None:
+            plan.append(MemoStage(core))
+        if core.concurrency is not None and core.concurrency.coalesce:
+            plan.append(SingleFlightStage(core))
         self.miss_stages = (
-            AdoptionStage(core),
-            L2Stage(core),
-            MemoStage(core),
-            SingleFlightStage(core),
+            *plan,
             FetchStage(core),
             DegradationStage(core),
             AdmissionStage(core),

@@ -164,8 +164,8 @@ class DefaultMemoPolicy:
     answered with a signature-only adoption instead of a provider fetch
     plus a full property-chain execution, and chains voting UNCACHEABLE
     are negative-cached so repeated misses skip the candidate
-    machinery.  ``None`` (the default) keeps the stage a strict no-op
-    and the cache byte-identical to its unmemoized behaviour.
+    machinery.  ``None`` (the default) keeps the stage out of the read
+    plan and the cache byte-identical to its unmemoized behaviour.
 
     Parameters
     ----------
@@ -206,8 +206,8 @@ class DefaultConcurrencyPolicy:
     concurrent requester of the same ``(document, user)`` key — and,
     when a memo policy supplies the probed pair, the same ``(source
     signature, chain fingerprint)`` pair.  ``None`` (the default) keeps
-    the stage a strict no-op, ``read_many`` sequential, and the cache
-    byte-identical to its pre-concurrency behaviour.
+    the stage out of the read plan, ``read_many`` sequential, and the
+    cache byte-identical to its pre-concurrency behaviour.
 
     Parameters
     ----------

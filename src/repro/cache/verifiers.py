@@ -21,8 +21,9 @@ The paper's examples are all represented:
 
 In the staged pipeline, verifiers run inside the read pipeline's
 ``VerifierGateStage`` (on every hit, behind the quarantine gate) and in
-the adoption stage's freshness probe; each execution is charged to the
-virtual clock and emitted as a ``verifier`` stage event.
+``CacheCore.reverify`` before a miss reuses held bytes (adoption, memo,
+L2 promotion); each execution is charged to the virtual clock and
+emitted as a ``verifier`` stage event.
 
 Each verifier carries an execution cost in virtual milliseconds; the
 cache charges it on every hit, which is exactly the trade-off §3 flags:

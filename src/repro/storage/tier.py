@@ -52,7 +52,10 @@ from repro.cache.cacheability import Cacheability
 from repro.cache.containment import BreakerConfig, BreakerRegistry
 from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.memo import ChainFingerprint, MemoRecord
-from repro.cache.notifiers import install_minimum_notifiers
+# Entries are installed by ``CacheCore.install``; the name stays
+# importable here because the repository benchmark's span tracer
+# (perfbench/spans.py) wraps it in this module too.
+from repro.cache.notifiers import install_minimum_notifiers  # noqa: F401
 from repro.content.signature import ContentSignature, sign
 from repro.errors import PlacelessError, StorageError
 from repro.ids import DocumentId, ReferenceId, UserId
@@ -438,7 +441,7 @@ class L2Tier:
             self.stats.promote_verifier_drops += 1
             return None
         if core.use_verifiers and verifiers:
-            if not self._verify(ctx.key, verifiers, content):
+            if not core.reverify(ctx.key, self._counted(verifiers), content):
                 self._drop_record(record, "verifier-refused")
                 self.stats.promote_verifier_drops += 1
                 self.core.emit("storage", "verifier-dropped", key=ctx.key)
@@ -480,99 +483,39 @@ class L2Tier:
             return None
         return rebuilt
 
-    def _verify(
-        self, key: EntryKey, verifiers: "list[Verifier]", content: bytes
-    ) -> bool:
-        """Run *verifiers* over the promoted bytes (mirrors the memo's
-        serve-time re-verification, fault seam included)."""
-        from repro.cache.verifiers import Verdict
-
-        core = self.core
+    def _counted(self, verifiers: "list[Verifier]"):
+        """*verifiers*, counting each one a promotion actually runs."""
         for verifier in verifiers:
-            verifier_started_ms = core.ctx.clock.now_ms
-            core.ctx.charge(verifier.cost_ms)
-            core.emit(
-                "verifier", "executed", key=key,
-                started_ms=verifier_started_ms,
-                cost_ms=verifier.cost_ms,
-            )
             self.stats.promote_verifier_runs += 1
-            try:
-                if core.ctx.faults is not None:
-                    core.ctx.faults.check_verifier(
-                        verifier.cost_ms, label=type(verifier).__name__
-                    )
-                result = verifier.run(core.ctx.clock.now_ms, content)
-            except Exception:
-                return False
-            if result.verdict is not Verdict.VALID:
-                return False
-        return True
+            yield verifier
 
     def _serve(self, ctx, record: L2Record, content: bytes, verifiers):
         """Install the promoted entry and terminate the read.
 
-        Mirrors the memo stage's serve path: the local hop at zero
-        bytes, the adoption handshake charge, ``put_signed`` leaving
-        exactly one store reference the entry takes over, then the
-        bookkeeping every fill performs.  Exclusive tiering: the
+        A signature-reuse serve like a memo hit: the metadata exchange,
+        ``put_signed`` leaving exactly one store reference the entry
+        takes over, then the core's install.  Exclusive tiering: the
         promoted copy leaves the L2 catalog.
         """
-        from repro.cache.core import ADOPTION_COST_MS, NOTIFIER_INSTALL_COST_MS
-        from repro.cache.pipeline import CacheReadOutcome
-
         core = self.core
-        key = ctx.key
-        for hop in core.topology.hit_path():
-            core.ctx.charge_hop(hop, 0)
-        core.ctx.charge(ADOPTION_COST_MS)
+        core.charge_metadata_exchange()
         core.store.put_signed(content, record.signature)
-        existing = core.entries.get(key)
-        if existing is not None:
-            core.remove_entry(existing)
-        # The promoted bytes are new physical content in L1: make room
-        # before the entry exists, as a fill does.  A heap policy drops
-        # the item of a protected key it pops, so evicting after the
-        # insert would leave the promoted entry unevictable for good.
-        core.evict_to_capacity(protect=key)
-        now = core.ctx.clock.now_ms
-        entry = CacheEntry(
-            key=key,
-            signature=record.signature,
-            size=record.size,
+        entry = core.install(
+            ctx.reference, ctx.key, record.signature, record.size,
             cacheability=record.cacheability,
-            verifiers=list(verifiers),
+            verifiers=verifiers,
             replacement_cost_ms=record.replacement_cost_ms,
             chain_signature=record.chain_signature,
-            reference_id=ctx.reference.reference_id,
-            created_at_ms=now,
-            last_access_ms=now,
+            pinned=record.pinned,
+            source_signature=record.source_signature,
         )
-        entry.pinned = record.pinned
-        entry.policy_state["source_signature"] = record.source_signature
-        core.insert_entry(entry)
-        core.policy.on_insert(entry)
-        if core.install_notifiers:
-            installed = install_minimum_notifiers(
-                ctx.reference, core.bus, core.cache_id
-            )
-            core.ctx.charge(NOTIFIER_INSTALL_COST_MS * len(installed))
-        if core.recovery is not None:
-            core.recovery.note_reference(key, ctx.reference)
         if record.recovered:
             self.stats.recovered_promotions += 1
         self._drop_record(record, "promoted")
         self.stats.promotions += 1
-        core.emit("storage", "promoted", key=key, bytes=record.size)
-        core.emit(
-            "read", "miss-promoted", key=key, started_ms=ctx.started_ms
-        )
-        if ctx.for_fill:
-            return (content, core.meta_from_entry(entry))
-        elapsed = core.ctx.clock.now_ms - ctx.started_ms
-        return CacheReadOutcome(
-            content=content, hit=False, elapsed_ms=elapsed,
-            disposition="miss-promoted",
+        core.emit("storage", "promoted", key=ctx.key, bytes=record.size)
+        return core.miss_result(
+            ctx, content, "miss-promoted", core.meta_from_entry(entry)
         )
 
     # -- drops -----------------------------------------------------------------
