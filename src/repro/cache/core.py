@@ -38,7 +38,6 @@ from repro.content.store import ContentStore
 from repro.errors import CacheError
 from repro.events.types import EventType
 from repro.sim.scheduler import FlightTable, Scheduler, SequentialScheduler
-from repro.streams.chain import read_chain_properties
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.cacheability import Cacheability
@@ -627,7 +626,7 @@ class CacheCore:
             signature
             for signature in (
                 p.transform_signature()
-                for p in read_chain_properties(reference)
+                for p in reference.read_chain()
             )
             if signature is not None
         )

@@ -59,7 +59,6 @@ from typing import Iterable, NamedTuple
 
 from repro.cache.cacheability import Cacheability
 from repro.cache.instrumentation import Projection
-from repro.streams.chain import read_chain_properties
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.core import CacheCore
@@ -113,7 +112,7 @@ def fingerprint_reference(
     of one document with identical chains fingerprint identically.
     """
     return ChainFingerprint.compose(
-        prop.fingerprint() for prop in read_chain_properties(reference)
+        prop.fingerprint() for prop in reference.read_chain()
     )
 
 

@@ -65,7 +65,6 @@ from repro.sim.scheduler import (
     Scheduler,
     Suspension,
 )
-from repro.streams.chain import read_chain_properties
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.overload.budget import DeadlineBudget
@@ -151,6 +150,9 @@ class ReadContext:
     #: The read's end-to-end deadline budget; ``None`` when the
     #: overload layer is off (the default) or deadlines are disabled.
     budget: "DeadlineBudget | None" = None
+    #: The admission priority class classified with the budget;
+    #: ``None`` when the overload layer is off.
+    priority: int | None = None
 
 
 @dataclass(slots=True)
@@ -472,7 +474,7 @@ class MemoStage(Stage):
             # read whose deadline already passed.
             core.emit("deadline", "skipped", key=ctx.key, seam="memo")
             return None
-        chain = read_chain_properties(ctx.reference)
+        chain = ctx.reference.read_chain()
         guard = core.containment
         if guard is not None and guard.chain_blocked(
             ctx.key.document_id, chain
@@ -607,7 +609,7 @@ class SingleFlightStage(Stage):
             return None
         guard = core.containment
         if guard is not None and guard.chain_blocked(
-            ctx.key.document_id, read_chain_properties(ctx.reference)
+            ctx.key.document_id, ctx.reference.read_chain()
         ):
             core.emit("coalesce", "bailed-contained", key=ctx.key)
             return None
@@ -838,8 +840,9 @@ class ReadPipeline:
         started_ms = core.ctx.clock.now_ms
         budget = None
         if core.overload is not None and not for_fill:
-            budget = core.overload.budget_for(reference, enqueued_ms)
-            self._admit(reference, key, enqueued_ms)
+            priority, deadline_ms = core.overload.classify(reference)
+            budget = core.overload.budget(deadline_ms, enqueued_ms)
+            self._admit(priority, key, enqueued_ms)
         entry = self._lookup(reference, key)
         stale = None
         if entry is not None:
@@ -889,12 +892,15 @@ class ReadPipeline:
         back-dates the read's arrival (``read_many`` batches pass their
         start instant) for the admission controller's sojourn signal.
         """
-        budget = None
-        if self.core.overload is not None and not for_fill:
+        overload = self.core.overload
+        budget: "DeadlineBudget | None" = None
+        priority: int | None = None
+        if overload is not None and not for_fill:
             # The budget starts at *enqueue*: queueing delay counts
             # against the deadline, which is what makes sojourn-based
             # shedding protect the reads that are admitted.
-            budget = self.core.overload.budget_for(reference, enqueued_ms)
+            priority, deadline_ms = overload.classify(reference)
+            budget = overload.budget(deadline_ms, enqueued_ms)
         ctx = ReadContext(
             reference=reference,
             key=EntryKey.for_reference(reference),
@@ -903,6 +909,7 @@ class ReadPipeline:
             scheduler=scheduler or self.core.scheduler,
             enqueued_ms=enqueued_ms,
             budget=budget,
+            priority=priority,
         )
         return self._iterate(ctx)
 
@@ -910,8 +917,8 @@ class ReadPipeline:
         core = self.core
         concurrent = ctx.scheduler is not None and ctx.scheduler.supports_concurrency
         try:
-            if not ctx.for_fill and core.overload is not None:
-                self._admit(ctx.reference, ctx.key, ctx.enqueued_ms)
+            if ctx.priority is not None:
+                self._admit(ctx.priority, ctx.key, ctx.enqueued_ms)
             while True:
                 ctx.entry = self._lookup(ctx.reference, ctx.key)
                 followed = False
@@ -951,14 +958,11 @@ class ReadPipeline:
             raise
 
     def _admit(
-        self,
-        reference: "DocumentReference",
-        key: EntryKey,
-        enqueued_ms: float | None,
+        self, priority: int, key: EntryKey, enqueued_ms: float | None
     ) -> None:
         """Overload admission control: raise when the read is shed."""
         core = self.core
-        decision = core.overload.admit(reference, enqueued_ms)
+        decision = core.overload.admit(priority, enqueued_ms)
         if decision is None:
             return
         priority = PRIORITY_NAMES[decision.priority]

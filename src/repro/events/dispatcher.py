@@ -9,11 +9,16 @@ dimension (spell-check before vs. after translation).
 The dispatcher does not know about base-vs-reference ordering; the
 document objects compose their two dispatchers in the paper's order
 (reads: base first, then reference; writes: reference first, then base).
+
+Each dispatcher carries an :attr:`EventDispatcher.epoch` that goes up
+whenever its registration table changes shape (register, unregister,
+reorder, cancel), so the property chains derived from it can be
+memoized until the next change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import UnknownEventError
@@ -33,10 +38,16 @@ class Registration:
     event_type: EventType
     handler: Handler
     active: bool = True
+    #: The table holding this registration, whose epoch a cancel bumps.
+    dispatcher: "EventDispatcher | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     def cancel(self) -> None:
         """Stop this registration from receiving further events."""
         self.active = False
+        if self.dispatcher is not None:
+            self.dispatcher.epoch += 1
 
 
 class EventDispatcher:
@@ -44,13 +55,15 @@ class EventDispatcher:
 
     Registrations for each event type are kept in a list whose order
     follows property attachment order; :meth:`reorder` re-sorts every list
-    when the owning document's property chain is permuted.
+    when the owning document's property chain is permuted.  A list is
+    created on the first registration for its event type, so a document
+    pays only for the events something listens for.
     """
 
     def __init__(self) -> None:
-        self._registrations: dict[EventType, list[Registration]] = {
-            event_type: [] for event_type in EventType
-        }
+        self._registrations: dict[EventType, list[Registration]] = {}
+        #: Bumped after every change to the table's shape.
+        self.epoch = 0
 
     def register(
         self,
@@ -59,10 +72,13 @@ class EventDispatcher:
         handler: Handler,
     ) -> Registration:
         """Register *handler* for *event_type* on behalf of a property."""
-        if event_type not in self._registrations:
+        if not isinstance(event_type, EventType):
             raise UnknownEventError(event_type)
-        registration = Registration(property_id, event_type, handler)
-        self._registrations[event_type].append(registration)
+        registration = Registration(
+            property_id, event_type, handler, dispatcher=self
+        )
+        self._registrations.setdefault(event_type, []).append(registration)
+        self.epoch += 1
         return registration
 
     def unregister_property(self, property_id: PropertyId) -> int:
@@ -76,19 +92,22 @@ class EventDispatcher:
             kept = [r for r in registrations if r.property_id != property_id]
             removed += len(registrations) - len(kept)
             self._registrations[event_type] = kept
+        self.epoch += 1
         return removed
 
     def registered_properties(self, event_type: EventType) -> list[PropertyId]:
         """Property ids with live registrations for *event_type*, in order."""
         return [
             r.property_id
-            for r in self._registrations[event_type]
+            for r in self._registrations.get(event_type, ())
             if r.active
         ]
 
     def has_listener(self, event_type: EventType) -> bool:
         """True if any live registration exists for *event_type*."""
-        return any(r.active for r in self._registrations[event_type])
+        return any(
+            r.active for r in self._registrations.get(event_type, ())
+        )
 
     def reorder(self, chain_order: list[PropertyId]) -> None:
         """Re-sort registrations to follow a new property chain order.
@@ -105,6 +124,7 @@ class EventDispatcher:
                 registrations,
                 key=lambda r: rank.get(r.property_id, fallback),
             )
+        self.epoch += 1
 
     def dispatch(self, event: Event) -> list[Any]:
         """Invoke every live handler registered for the event's type.
@@ -115,7 +135,8 @@ class EventDispatcher:
         registrations affects only future dispatches.
         """
         results: list[Any] = []
-        for registration in list(self._registrations[event.type]):
+        registrations = self._registrations.get(event.type, ())
+        for registration in list(registrations):
             if not registration.active:
                 continue
             results.append(registration.handler(event))

@@ -25,8 +25,9 @@ enforcement machinery, all off by default behind
   cross-shard read combinator: after a p95-based delay a backup read
   runs on the replica shard and the loser is cancelled.
 * :class:`OverloadGate` (:mod:`repro.overload.gate`) — the per-cache
-  facade the pipeline consults: builds budgets, admits or sheds reads,
-  and tracks the decisions.
+  facade the pipeline consults: classifies each read once (priority
+  class and deadline from one walk of the memoized chain), builds its
+  budget, admits or sheds it, and tracks the decisions.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 from repro.errors import WorkloadError
 from repro.properties.qos import QoSProperty
-from repro.streams.chain import read_chain_properties
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.clock import VirtualClock
@@ -45,6 +44,7 @@ __all__ = [
     "PRIORITY_BULK",
     "PRIORITY_NAMES",
     "priority_class",
+    "chain_qos",
     "AdmissionDecision",
     "AdmissionController",
 ]
@@ -59,19 +59,34 @@ PRIORITY_BULK = 2
 
 PRIORITY_NAMES = ("critical", "qos", "bulk")
 
+_NO_TARGET = float("inf")
+
+
+def chain_qos(reference) -> tuple[int, float]:
+    """One walk of the read chain: ``(priority class, QoS target ms)``.
+
+    The target is the tightest finite ``max_access_time_ms`` on the
+    chain, or infinity when none is attached.  Both are derived on every
+    call rather than memoized with the chain: a QoS property's target is
+    a plain mutable attribute.
+    """
+    priority = PRIORITY_BULK
+    target_ms = _NO_TARGET
+    for prop in reference.read_chain():
+        if prop.requests_pinning():
+            priority = PRIORITY_CRITICAL
+        if (
+            isinstance(prop, QoSProperty)
+            and prop.max_access_time_ms != _NO_TARGET
+        ):
+            priority = min(priority, PRIORITY_QOS)
+            target_ms = min(target_ms, prop.max_access_time_ms)
+    return priority, target_ms
+
 
 def priority_class(reference) -> int:
     """Derive a read's priority class from its property chain."""
-    best = PRIORITY_BULK
-    for prop in read_chain_properties(reference):
-        if prop.requests_pinning():
-            return PRIORITY_CRITICAL
-        if (
-            isinstance(prop, QoSProperty)
-            and prop.max_access_time_ms != float("inf")
-        ):
-            best = min(best, PRIORITY_QOS)
-    return best
+    return chain_qos(reference)[0]
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import typing
 
-from repro.overload.admission import AdmissionController, priority_class
+from repro.overload.admission import AdmissionController, chain_qos
 from repro.overload.budget import DeadlineBudget
-from repro.properties.qos import QoSProperty
-from repro.streams.chain import read_chain_properties
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.policies import DefaultOverloadPolicy
@@ -43,39 +41,38 @@ class OverloadGate:
                 sojourn_threshold_ms=policy.sojourn_threshold_ms,
             )
 
-    def deadline_ms_for(self, reference) -> float | None:
-        """The read's end-to-end allowance, or ``None`` for no deadline."""
-        if not self.policy.deadlines:
-            return None
-        budget_ms = self.policy.default_deadline_ms
-        if self.policy.deadline_from_qos:
-            for prop in read_chain_properties(reference):
-                if (
-                    isinstance(prop, QoSProperty)
-                    and prop.max_access_time_ms != float("inf")
-                ):
-                    budget_ms = min(budget_ms, prop.max_access_time_ms)
-        return budget_ms
+    def classify(self, reference) -> tuple[int, float | None]:
+        """The read's ``(priority class, deadline ms)`` from one chain walk.
 
-    def budget_for(
-        self, reference, enqueued_ms: float | None = None
+        The deadline is ``None`` when deadlines are off; otherwise the
+        policy default, tightened to the chain's QoS access-time target
+        when the policy derives deadlines from QoS.
+        """
+        priority, target_ms = chain_qos(reference)
+        policy = self.policy
+        if not policy.deadlines:
+            return priority, None
+        deadline_ms = policy.default_deadline_ms
+        if policy.deadline_from_qos:
+            deadline_ms = min(deadline_ms, target_ms)
+        return priority, deadline_ms
+
+    def budget(
+        self, deadline_ms: float | None, enqueued_ms: float | None = None
     ) -> DeadlineBudget | None:
         """Build the read's deadline budget (``None`` = deadlines off).
 
         ``enqueued_ms`` back-dates the allowance to the read's arrival
         instant so time already spent queueing counts against it.
         """
-        budget_ms = self.deadline_ms_for(reference)
-        if budget_ms is None:
+        if deadline_ms is None:
             return None
-        return DeadlineBudget(self.clock, budget_ms, started_ms=enqueued_ms)
+        return DeadlineBudget(self.clock, deadline_ms, started_ms=enqueued_ms)
 
     def admit(
-        self, reference, enqueued_ms: float | None = None
+        self, priority: int, enqueued_ms: float | None = None
     ) -> "AdmissionDecision | None":
         """Ask admission for one read; ``None`` when shedding is off."""
         if self.admission is None:
             return None
-        return self.admission.admit(
-            priority_class(reference), enqueued_ms=enqueued_ms
-        )
+        return self.admission.admit(priority, enqueued_ms=enqueued_ms)

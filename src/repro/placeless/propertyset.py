@@ -6,6 +6,11 @@ property to a document varies whether it is applied before or after a
 language translation property") — and both raise property-lifecycle
 events (SET / MODIFY / REMOVE / REORDER) through their dispatcher so
 notifier properties can observe them.
+
+Chains change only through those lifecycle operations, so the stream
+chains read and written on every operation are memoized against the
+dispatcher's epoch: attach, detach and reorder bump it here, and every
+change to the registration table bumps it in the dispatcher.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ class PropertyHolder(abc.ABC):
         self.owner = owner
         self.dispatcher = EventDispatcher()
         self._properties: list[Property] = []
+        #: ``event type -> (dispatcher epoch, stream chain)``.
+        self._stream_chains: dict[EventType, tuple[int, tuple]] = {}
 
     # -- event construction (site-specific) ---------------------------------
 
@@ -92,6 +99,7 @@ class PropertyHolder(abc.ABC):
         property_id = self.ctx.ids.property(prop.name)
         prop._bind(self, property_id, self.site, acting_user or self.owner)
         self._properties.append(prop)
+        self.dispatcher.epoch += 1
         # Announce the addition to the *previously* registered properties
         # before registering the newcomer, so a property does not observe
         # its own attachment (mirroring removal, where the property is
@@ -135,6 +143,7 @@ class PropertyHolder(abc.ABC):
         if prop not in self._properties:
             raise PropertyNotFoundError(prop.name)
         self._properties.remove(prop)
+        self.dispatcher.epoch += 1
         if isinstance(prop, ActiveProperty):
             prop.on_detach()
             prop.cancel_registrations()
@@ -170,6 +179,7 @@ class PropertyHolder(abc.ABC):
             )
         old_order = [p.property_id for p in self._properties]
         self._properties = [current[pid] for pid in new_order]
+        self.dispatcher.epoch += 1
         self.dispatcher.reorder(new_order)
         self.dispatcher.dispatch(
             self.make_event(
@@ -191,13 +201,22 @@ class PropertyHolder(abc.ABC):
 
     # -- read/write path helpers --------------------------------------------
 
-    def stream_chain(self, event_type: EventType) -> list[ActiveProperty]:
+    def stream_chain(
+        self, event_type: EventType
+    ) -> tuple[ActiveProperty, ...]:
         """Active properties registered for a stream event, in chain order.
 
         These are the properties whose custom streams join the calling
-        chain for that operation.
+        chain for that operation.  The tuple is rebuilt only after the
+        dispatcher's epoch moves.
         """
+        epoch = self.dispatcher.epoch
+        cached = self._stream_chains.get(event_type)
+        if cached is not None and cached[0] == epoch:
+            return cached[1]
         registered = set(self.dispatcher.registered_properties(event_type))
-        return [
+        chain = tuple(
             p for p in self.active_properties() if p.property_id in registered
-        ]
+        )
+        self._stream_chains[event_type] = (epoch, chain)
+        return chain

@@ -42,12 +42,41 @@ class DocumentReference(PropertyHolder):
         super().__init__(ctx, owner)
         self.reference_id = reference_id
         self.base = base
+        #: ``(base epoch, reference epoch, read chain)``; ``base`` is
+        #: fixed for the reference's lifetime.
+        self._read_chain: tuple | None = None
         base.register_reference(self)
 
     @property
     def document_id(self):
         """The base document's id (references share the document id)."""
         return self.base.document_id
+
+    def read_chain(self) -> tuple:
+        """The active properties on the read path, in execution order.
+
+        Base-document properties first, then this reference's — the
+        order §2 prescribes and :meth:`open_input` realises.
+        Metadata-only (no streams are built), so the chain signature,
+        chain fingerprint and overload classification can predict a read
+        path without running it.  The tuple is rebuilt only after either
+        attachment point's dispatcher epoch moves.
+        """
+        base = self.base
+        memo = self._read_chain
+        if (
+            memo is not None
+            and memo[0] == base.dispatcher.epoch
+            and memo[1] == self.dispatcher.epoch
+        ):
+            return memo[2]
+        chain = base.stream_chain(
+            EventType.GET_INPUT_STREAM
+        ) + self.stream_chain(EventType.GET_INPUT_STREAM)
+        self._read_chain = (
+            base.dispatcher.epoch, self.dispatcher.epoch, chain
+        )
+        return chain
 
     def make_event(
         self,

@@ -70,7 +70,6 @@ from repro.storage.segment import (
     unpack_fields,
 )
 from repro.storage.store import DiskContentStore
-from repro.streams.chain import read_chain_properties
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.core import CacheCore
@@ -471,7 +470,7 @@ class L2Tier:
         minted = [reference.base.provider.make_verifier()]
         minted.extend(
             prop.make_verifier()
-            for prop in read_chain_properties(reference)
+            for prop in reference.read_chain()
         )
         rebuilt = [
             verifier for verifier in minted if verifier is not None

@@ -49,7 +49,6 @@ __all__ = [
     "apply_read_wrapper",
     "apply_write_wrapper",
     "property_site",
-    "read_chain_properties",
     "injected_property_error",
     "FirewallInputStream",
     "FirewallOutputStream",
@@ -138,23 +137,6 @@ def drain(source: InputStream, chunk_size: int = 4096) -> bytes:
 def property_site(prop: "ActiveProperty") -> str:
     """Breaker/fault site label for one property's stream wrappers."""
     return f"stream:{prop.name}"
-
-
-def read_chain_properties(reference) -> tuple:
-    """The active properties on *reference*'s read path, in chain order.
-
-    Base-document properties first, then reference properties — the
-    execution order §2 prescribes and :func:`build_input_chain`
-    realises.  Metadata-only (no streams are built), so the chain
-    signature and chain fingerprint machinery can predict a read path
-    without running it.
-    """
-    from repro.events.types import EventType
-
-    return tuple(
-        reference.base.stream_chain(EventType.GET_INPUT_STREAM)
-        + reference.stream_chain(EventType.GET_INPUT_STREAM)
-    )
 
 
 def injected_property_error(prop: "ActiveProperty") -> PropertyError:

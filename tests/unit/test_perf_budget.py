@@ -10,7 +10,11 @@ The probe counts *net* heap blocks per read with the collector
 disabled, after a warmup that populates every cache and memo the
 steady state relies on.  There is one read path, so the budgets differ
 only by configuration: every optional seam off, and the production-like
-mix with memo, containment, overload gate and durable L2 on.
+mix with memo, containment, overload gate and durable L2 on.  Each
+configuration is probed twice: over a chainless corpus, and over
+references that carry real read chains (personal translate and
+spellcheck+translate chains, and a base-level translation), whose
+chains every hit resolves through the chain memo.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from repro.cache.policies import (
     DefaultStoragePolicy,
 )
 from repro.placeless.kernel import PlacelessKernel
+from repro.properties.translate import TranslationProperty
 from repro.workload.documents import CorpusSpec, build_corpus
+from repro.workload.users import CHAIN_FACTORIES
 
 #: Net heap blocks allowed per steady-state hit with every seam off.  A
 #: hit measured 2.4 blocks when this was set; the ~17x headroom absorbs
@@ -38,18 +44,56 @@ HIT_ALLOCATION_BUDGET = 40.0
 SEAMS_HIT_ALLOCATION_BUDGET = 41.0
 
 
-def _warm_cache(**seams):
+SEAMS = dict(
+    memo_policy=DefaultMemoPolicy(),
+    containment_policy=DefaultContainmentPolicy(),
+    overload_policy=DefaultOverloadPolicy(),
+)
+
+
+def _corpus():
     kernel = PlacelessKernel()
     owner = kernel.create_user("owner")
     corpus = build_corpus(kernel, owner, CorpusSpec(n_documents=16, seed=13))
+    return kernel, corpus
+
+
+def _chainless_references():
+    kernel, corpus = _corpus()
+    return kernel, [document.reference for document in corpus]
+
+
+def _chained_references():
+    """Two users' references, every one with a non-empty read chain."""
+    kernel, corpus = _corpus()
+    users = [kernel.create_user(f"user-{index}") for index in range(2)]
+    references = []
+    for index, document in enumerate(corpus):
+        base = document.reference.base
+        universal = index % 4 == 0
+        if universal:
+            base.attach(TranslationProperty())
+        for user, chain in zip(users, ("translate", "spellcheck+translate")):
+            reference = kernel.space(user).add_reference(base)
+            if not universal:
+                for prop in CHAIN_FACTORIES[chain]():
+                    reference.attach(prop)
+            references.append(reference)
+    return kernel, references
+
+
+def _warm_cache(world, **seams):
+    kernel, references = world()
     cache = DocumentCache(kernel, capacity_bytes=1 << 28, **seams)
-    for document in corpus:
-        cache.read(document.reference)
-    return cache, corpus
+    for reference in references:
+        cache.read(reference)
+    return cache, references
 
 
-def _assert_hits_within(cache, corpus, budget: float, think_ms: float = 0.0):
-    cycle = itertools.cycle([document.reference for document in corpus])
+def _assert_hits_within(
+    cache, references, budget: float, think_ms: float = 0.0
+):
+    cycle = itertools.cycle(references)
     clock = cache.ctx.clock
 
     def one_hit() -> None:
@@ -64,22 +108,34 @@ def _assert_hits_within(cache, corpus, budget: float, think_ms: float = 0.0):
     )
 
 
-def test_hit_stays_under_allocation_budget():
-    cache, corpus = _warm_cache()
-    _assert_hits_within(cache, corpus, HIT_ALLOCATION_BUDGET)
-
-
-def test_seams_hit_stays_under_allocation_budget(tmp_path):
-    cache, corpus = _warm_cache(
-        memo_policy=DefaultMemoPolicy(),
-        containment_policy=DefaultContainmentPolicy(),
-        overload_policy=DefaultOverloadPolicy(),
+def _assert_seams_hits_within(world, tmp_path) -> None:
+    cache, references = _warm_cache(
+        world,
         storage_policy=DefaultStoragePolicy(directory=tmp_path),
+        **SEAMS,
     )
     # A 10 ms think time keeps the reads under the admission rate.
     _assert_hits_within(
-        cache, corpus, SEAMS_HIT_ALLOCATION_BUDGET, think_ms=10.0
+        cache, references, SEAMS_HIT_ALLOCATION_BUDGET, think_ms=10.0
     )
+
+
+def test_hit_stays_under_allocation_budget():
+    cache, references = _warm_cache(_chainless_references)
+    _assert_hits_within(cache, references, HIT_ALLOCATION_BUDGET)
+
+
+def test_seams_hit_stays_under_allocation_budget(tmp_path):
+    _assert_seams_hits_within(_chainless_references, tmp_path)
+
+
+def test_chained_hit_stays_under_allocation_budget():
+    cache, references = _warm_cache(_chained_references)
+    _assert_hits_within(cache, references, HIT_ALLOCATION_BUDGET)
+
+
+def test_chained_seams_hit_stays_under_allocation_budget(tmp_path):
+    _assert_seams_hits_within(_chained_references, tmp_path)
 
 
 def test_timed_and_rss_helpers():
