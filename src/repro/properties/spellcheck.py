@@ -16,11 +16,9 @@ signature (and triggers MODIFY_PROPERTY invalidation).
 
 from __future__ import annotations
 
-import hashlib
-import re
-
 from repro.events.types import Event, EventType
 from repro.placeless.properties import ActiveProperty
+from repro.properties.words import replace_words, sign_table
 from repro.streams.base import InputStream, OutputStream
 from repro.streams.transforms import (
     BufferedTransformOutputStream,
@@ -44,9 +42,6 @@ DEFAULT_CORRECTIONS: dict[str, str] = {
     "performence": "performance",
 }
 
-_WORD_RE = re.compile(r"[A-Za-z]+")
-
-
 class SpellingCorrectorProperty(ActiveProperty):
     """Corrects spelling on both the read and the write path."""
 
@@ -64,23 +59,17 @@ class SpellingCorrectorProperty(ActiveProperty):
             DEFAULT_CORRECTIONS if corrections is None else corrections
         )
         self.words_corrected = 0
+        self._signed_corrections: dict[str, str] | None = None
+        self._fingerprint = ""
 
     def events_of_interest(self):
         return {EventType.GET_INPUT_STREAM, EventType.GET_OUTPUT_STREAM}
 
-    def _correct_word(self, match: re.Match[str]) -> str:
-        word = match.group(0)
-        replacement = self.corrections.get(word.lower())
-        if replacement is None:
-            return word
-        self.words_corrected += 1
-        if word[0].isupper():
-            replacement = replacement.capitalize()
-        return replacement
-
     def correct_text(self, text: str) -> str:
         """Apply the correction dictionary to *text*."""
-        return _WORD_RE.sub(self._correct_word, text)
+        text, count = replace_words(self.corrections, text)
+        self.words_corrected += count
+        return text
 
     def wrap_input(self, stream: InputStream, event: Event) -> InputStream:
         return LineTransformInputStream(
@@ -93,10 +82,11 @@ class SpellingCorrectorProperty(ActiveProperty):
         )
 
     def transform_signature(self) -> str:
-        fingerprint = hashlib.md5(
-            repr(sorted(self.corrections.items())).encode()
-        ).hexdigest()[:8]
-        return f"spellcheck/{self.name}/v{self.version}/{fingerprint}"
+        if self.corrections != self._signed_corrections:
+            self._signed_corrections, self._fingerprint = sign_table(
+                self.corrections
+            )
+        return f"spellcheck/{self.name}/v{self.version}/{self._fingerprint}"
 
     def upgrade_dictionary(self, corrections: dict[str, str]) -> None:
         """Install a new correction dictionary — a new release (§3).

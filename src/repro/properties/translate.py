@@ -13,11 +13,9 @@ should favour keeping cached.
 
 from __future__ import annotations
 
-import hashlib
-import re
-
 from repro.events.types import Event, EventType
 from repro.placeless.properties import ActiveProperty
+from repro.properties.words import replace_words, sign_table
 from repro.streams.base import InputStream
 from repro.streams.transforms import BufferedTransformInputStream, text_transform
 
@@ -50,9 +48,6 @@ ENGLISH_TO_FRENCH: dict[str, str] = {
     "world": "monde",
 }
 
-_WORD_RE = re.compile(r"[A-Za-z]+")
-
-
 class TranslationProperty(ActiveProperty):
     """Translates read content through a word table."""
 
@@ -70,23 +65,17 @@ class TranslationProperty(ActiveProperty):
         self.table = dict(ENGLISH_TO_FRENCH if table is None else table)
         self.target_language = target_language
         self.words_translated = 0
+        self._signed_table: dict[str, str] | None = None
+        self._fingerprint = ""
 
     def events_of_interest(self):
         return {EventType.GET_INPUT_STREAM}
 
-    def _translate_word(self, match: re.Match[str]) -> str:
-        word = match.group(0)
-        replacement = self.table.get(word.lower())
-        if replacement is None:
-            return word
-        self.words_translated += 1
-        if word[0].isupper():
-            replacement = replacement.capitalize()
-        return replacement
-
     def translate_text(self, text: str) -> str:
         """Apply the word table to *text*."""
-        return _WORD_RE.sub(self._translate_word, text)
+        text, count = replace_words(self.table, text)
+        self.words_translated += count
+        return text
 
     def wrap_input(self, stream: InputStream, event: Event) -> InputStream:
         return BufferedTransformInputStream(
@@ -94,10 +83,9 @@ class TranslationProperty(ActiveProperty):
         )
 
     def transform_signature(self) -> str:
-        fingerprint = hashlib.md5(
-            repr(sorted(self.table.items())).encode()
-        ).hexdigest()[:8]
+        if self.table != self._signed_table:
+            self._signed_table, self._fingerprint = sign_table(self.table)
         return (
             f"translate/{self.name}/{self.target_language}"
-            f"/v{self.version}/{fingerprint}"
+            f"/v{self.version}/{self._fingerprint}"
         )

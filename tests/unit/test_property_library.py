@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import zlib
 
 import pytest
@@ -63,6 +64,14 @@ class TestSpellingCorrector:
         assert corrector.transform_signature() != before
         assert corrector.version == 2
 
+    def test_signature_sees_in_place_dictionary_edit(self):
+        corrector = SpellingCorrectorProperty()
+        before = corrector.transform_signature()
+        assert corrector.transform_signature() == before
+        corrector.corrections["x"] = "y"
+        assert corrector.transform_signature() != before
+        assert corrector.version == 1
+
     def test_custom_dictionary(self):
         corrector = SpellingCorrectorProperty(corrections={"foo": "bar"})
         assert corrector.correct_text("foo teh foo") == "bar teh bar"
@@ -92,6 +101,30 @@ class TestTranslation:
 
     def test_signature_includes_language(self):
         assert "/fr/" in TranslationProperty().transform_signature()
+
+    def test_signature_sees_in_place_table_edit(self):
+        translator = TranslationProperty()
+        before = translator.transform_signature()
+        assert translator.transform_signature() == before
+        translator.table["x"] = "y"
+        after = translator.transform_signature()
+        assert after != before
+        assert translator.version == 1
+        del translator.table["x"]
+        assert translator.transform_signature() == before
+
+    def test_signature_fingerprints_the_sorted_table(self):
+        table = {"hello": "salut", "cache": "antémémoire"}
+        digest = hashlib.md5(repr(sorted(table.items())).encode())
+        assert TranslationProperty(table=table).transform_signature() == (
+            f"translate/translate-to-french/fr/v1/{digest.hexdigest()[:8]}"
+        )
+
+    def test_equal_tables_share_one_snapshot(self):
+        first, second = TranslationProperty(), TranslationProperty()
+        assert first.transform_signature() == second.transform_signature()
+        assert first._signed_table is second._signed_table
+        assert first._signed_table is not first.table
 
 
 class TestSummary:
